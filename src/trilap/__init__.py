@@ -59,7 +59,6 @@ from .stepper import (
     TimeSeries,
     evaluate_reaction,
     run,
-    step_linear,
     suggest_dt,
 )
 

@@ -299,15 +299,16 @@ def _cmd_counterexample(args, argv) -> int:
     eps_list = [float(x) for x in args.eps.split(",")]
     if d == 1:
         n = args.n if args.n is not None else 512
-        box = args.box if args.box is not None else 4.0
-        grid = Grid(d=d, n=n, box=box)
+        grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)
     elif args.box is not None:
         grid = Grid(d=d, n=args.n if args.n is not None else 128, box=args.box)
     else:
         grid = probe_grid(d, args.n)
     report = run_violation_experiment(kind, eps_list, grid, t_probe=args.t_probe)
     outdir = Path(args.out)
-    _write_manifest(outdir, argv, None, {"kind": args.kind, "eps": eps_list, "n": n, "box": box})
+    _write_manifest(
+        outdir, argv, None, {"kind": args.kind, "eps": eps_list, "n": grid.n, "box": grid.box}
+    )
     (outdir / "violation_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     slope = "n/a" if report.fitted_slope is None else f"{report.fitted_slope:.3f}"
     line = (

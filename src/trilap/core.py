@@ -98,7 +98,9 @@ class Grid:
     Wavenumbers follow the standard symmetric DFT layout
     xi = 2*pi*m/box, m = 0, 1, ..., n/2-1, -n/2, ..., -1; the unmatched
     Nyquist frequency has its odd-derivative multiplier zeroed so first
-    derivatives of real fields stay real.
+    derivatives of real fields stay real.  The half_* meshes hold the same
+    multipliers on the real half spectrum (np.fft.rfftn layout, whose last
+    axis keeps m = 0, ..., n/2).
     """
 
     d: int
@@ -150,10 +152,32 @@ class Grid:
             _readonly(m) for m in np.meshgrid(*(self.axis_coords,) * self.d, indexing="ij")
         )
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Modes of a real field's half spectrum (np.fft.rfftn layout)."""
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
+
+    def _spectral_meshes(self, per_axis: np.ndarray, half: bool) -> list[np.ndarray]:
+        # the half-spectrum meshes are the full ones with the last axis cut to
+        # n//2 + 1; every multiplier below is even in that axis or zero at its
+        # Nyquist entry, so the cut is exact
+        last = per_axis[: self.n // 2 + 1] if half else per_axis
+        return np.meshgrid(*(per_axis,) * (self.d - 1), last, indexing="ij")
+
+    def _k_squared(self, half: bool) -> np.ndarray:
+        return sum(m**2 for m in self._spectral_meshes(self.wavenumbers, half))
+
+    def _dealias(self, half: bool) -> np.ndarray:
+        m = np.abs(np.fft.fftfreq(self.n) * self.n)
+        meshes = self._spectral_meshes(m < self.n / 3.0, half)
+        out = meshes[0]
+        for extra in meshes[1:]:
+            out = out & extra
+        return _readonly(out)
+
     @cached_property
     def k_squared(self) -> np.ndarray:
-        meshes = np.meshgrid(*(self.wavenumbers,) * self.d, indexing="ij")
-        return _readonly(sum(m**2 for m in meshes))
+        return _readonly(self._k_squared(half=False))
 
     @cached_property
     def k_sixth(self) -> np.ndarray:
@@ -161,22 +185,29 @@ class Grid:
         return _readonly(self.k_squared**3)
 
     @cached_property
+    def half_k_sixth(self) -> np.ndarray:
+        return _readonly(self._k_squared(half=True) ** 3)
+
+    @cached_property
     def deriv_mesh(self) -> tuple[np.ndarray, ...]:
         return tuple(
-            _readonly(m)
-            for m in np.meshgrid(*(self.deriv_wavenumbers,) * self.d, indexing="ij")
+            _readonly(m) for m in self._spectral_meshes(self.deriv_wavenumbers, half=False)
+        )
+
+    @cached_property
+    def half_deriv_mesh(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _readonly(m) for m in self._spectral_meshes(self.deriv_wavenumbers, half=True)
         )
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on retained modes."""
-        m = np.abs(np.fft.fftfreq(self.n) * self.n)
-        keep = m < self.n / 3.0
-        meshes = np.meshgrid(*(keep,) * self.d, indexing="ij")
-        out = meshes[0]
-        for extra in meshes[1:]:
-            out = out & extra
-        return _readonly(out)
+        return self._dealias(half=False)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return self._dealias(half=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +486,20 @@ def _reaction_from_config(node) -> Reaction:
     raise ConfigError(f"field 'reaction.kind': unknown kind {kind!r}")
 
 
+def _config_number(node: dict, key: str, name: str, integer: bool):
+    """node[key] as an int (integer=True, integral values only) or a float."""
+    if key not in node:
+        raise ConfigError(f"field '{name}': missing")
+    value = node[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{name}': expected a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_system(config_text: str) -> SystemSpec:
     """Build a validated SystemSpec from config text.
 
@@ -465,7 +510,8 @@ def load_system(config_text: str) -> SystemSpec:
     for key in ("d", "N", "A", "Gamma", "reaction"):
         if key not in cfg:
             raise ConfigError(f"field '{key}': missing")
-    d, ncomp = int(cfg["d"]), int(cfg["N"])
+    d = _config_number(cfg, "d", "d", integer=True)
+    ncomp = _config_number(cfg, "N", "N", integer=True)
     gammas = cfg["Gamma"]
     if not isinstance(gammas, list):
         raise ConfigError("field 'Gamma': expected a list of d matrices")
@@ -484,11 +530,15 @@ def load_grid(config_text: str, d: int | None = None) -> Grid:
     if "grid" not in cfg:
         raise ConfigError("field 'grid': missing")
     node = cfg["grid"]
+    if not isinstance(node, dict):
+        raise ConfigError("field 'grid': expected an object with 'n' and 'box'")
     if d is None:
-        if "d" not in cfg:
-            raise ConfigError("field 'd': missing")
-        d = int(cfg["d"])
-    return Grid(d=d, n=int(node["n"]), box=float(node["box"]))
+        d = _config_number(cfg, "d", "d", integer=True)
+    return Grid(
+        d=d,
+        n=_config_number(node, "n", "grid.n", integer=True),
+        box=_config_number(node, "box", "grid.box", integer=False),
+    )
 
 
 def serialize_system(spec: SystemSpec, grid: Grid | None = None) -> str:

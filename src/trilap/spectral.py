@@ -5,15 +5,20 @@ The linear part of the system has the per-mode symbol
     M(xi) = -|xi|^6 * D + i * sum_j xi_j * T[j]          (N x N, complex)
 
 so advancing the linear flow by dt multiplies each retained Fourier
-coefficient vector by exp(dt * M(xi)).  Those N x N exponentials are
-precomputed for every mode with scaling-and-squaring (diagonal Pade of
-order 13, Higham's theta_13 switchover), evaluated batched over modes.
+coefficient vector by exp(dt * M(xi)).  Propagators live on the real half
+spectrum (np.fft.rfftn layout, Grid.half_shape modes): real fields are
+conjugate symmetric, so the other half carries no information.  When D,
+every T[j] and any folded L are diagonal (the systems that pass the audit)
+each mode splits into N scalar ODEs and the table is the elementwise
+exp(dt * (-|xi|^6 D_kk + i xi.T_kk - L_kk)).  Coupled systems get an N x N
+exponential per mode by scaling-and-squaring (diagonal Pade of order 13,
+Higham's theta_13 switchover), evaluated batched over modes.
 
-Spectrum layout: full complex DFT per component, numpy's unnormalised
-forward / 1/n^d inverse convention, coefficients indexed like
-np.fft.fftfreq.  Real input fields keep conjugate symmetry under every
-operation here; odd-derivative multipliers zero the unmatched Nyquist
-frequency (see core.Grid).
+`forward`, `inverse` and the multipliers keep the full complex DFT per
+component, numpy's unnormalised forward / 1/n^d inverse convention,
+coefficients indexed like np.fft.fftfreq.  Real input fields keep
+conjugate symmetry under every operation here; odd-derivative multipliers
+zero the unmatched Nyquist frequency (see core.Grid).
 """
 
 from __future__ import annotations
@@ -149,7 +154,12 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
-    """Per-mode exp(dt * M(xi)) table, shape (n, ..., n, N, N)."""
+    """exp(dt * M(xi)) for every half-spectrum mode.
+
+    A decoupled system stores the diagonal, exps shape (N, *half_shape),
+    applied as an elementwise product; a coupled one stores an N x N matrix
+    per mode, exps shape (*half_shape, N, N).  The table is read-only.
+    """
 
     grid: Grid
     ncomp: int
@@ -157,11 +167,26 @@ class ModePropagator:
     include_linear_reaction: bool
     exps: np.ndarray
 
+    @property
+    def decoupled(self) -> bool:
+        return self.exps.ndim == self.grid.d + 1
+
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Advance stacked spectra (ncomp, n, ..., n) by one step."""
+        """Advance stacked half spectra (ncomp, *half_shape) by one step."""
+        if self.decoupled:
+            return self.exps * coeffs
         flat = coeffs.reshape(self.ncomp, -1).T[:, :, None]
         out = np.matmul(self.exps.reshape(-1, self.ncomp, self.ncomp), flat)
         return out[:, :, 0].T.reshape(coeffs.shape)
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.array_equal(m, np.diag(np.diag(m)))
+
+
+def _diagonal_column(m: np.ndarray, d: int) -> np.ndarray:
+    """The diagonal of m shaped (N, 1, ..., 1) to broadcast over d mode axes."""
+    return np.diag(m).reshape((-1,) + (1,) * d)
 
 
 def build_propagator(
@@ -170,7 +195,7 @@ def build_propagator(
     dt: float,
     include_linear_reaction: bool = False,
 ) -> ModePropagator:
-    """Precompute exp(dt*M(xi)) for every mode (minus L folded in if flagged).
+    """Precompute exp(dt*M(xi)) for every half-spectrum mode (minus L folded in if flagged).
 
     dt = 0 yields the identity on every mode.  Raises
     PropagatorOverflowError if any exponential entry is non-finite, which
@@ -180,25 +205,45 @@ def build_propagator(
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    n = spec.ncomp
-    symbol = (-grid.k_sixth.reshape(-1, 1, 1)) * spec.diffusion.astype(complex)
-    for axis, g in enumerate(spec.transport):
-        symbol = symbol + (1j * grid.deriv_mesh[axis].reshape(-1, 1, 1)) * g
+    folded = ()
     if include_linear_reaction:
         kind = spec.reaction.kind
         if kind == "linear":
-            symbol = symbol - spec.reaction.matrix
+            folded = (spec.reaction.matrix,)
         elif kind != "zero":
             raise ValueError("include_linear_reaction requires a zero or linear reaction")
-    exps = matrix_exp_batch(dt * symbol)
+    n = spec.ncomp
+    diff, gammas = spec.diffusion, spec.transport
+    k6, xis = grid.half_k_sixth, grid.half_deriv_mesh
+    decoupled = all(_is_diagonal(m) for m in (diff, *gammas, *folded))
+    if decoupled:
+        # N scalar symbols per mode, shape (N, *half_shape)
+        diff = _diagonal_column(diff, grid.d)
+        gammas = [_diagonal_column(g, grid.d) for g in gammas]
+        folded = [_diagonal_column(m, grid.d) for m in folded]
+    else:
+        # one N x N symbol per mode, shape (modes, N, N)
+        k6, xis = k6.reshape(-1, 1, 1), [xi.reshape(-1, 1, 1) for xi in xis]
+
+    symbol = -k6 * diff.astype(complex)
+    for xi, g in zip(xis, gammas):
+        symbol = symbol + (1j * xi) * g
+    for m in folded:
+        symbol = symbol - m
+    if decoupled:
+        with np.errstate(over="ignore", invalid="ignore"):
+            exps = np.exp(dt * symbol)
+    else:
+        exps = matrix_exp_batch(dt * symbol).reshape(grid.half_shape + (n, n))
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"
         )
+    exps.setflags(write=False)
     return ModePropagator(
         grid=grid,
         ncomp=n,
         dt=float(dt),
         include_linear_reaction=include_linear_reaction,
-        exps=exps.reshape(grid.shape + (n, n)),
+        exps=exps,
     )

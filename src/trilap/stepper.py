@@ -16,6 +16,14 @@ which reduces to classical RK4 on u' = -F(u) when the symbol vanishes
 2/3 rule by default.  An ETDRK4 variant would trade the exactness of the
 linear substeps for one fewer nonlinear stage; exactness wins here.
 
+Fields are real, so the state is carried as its half spectrum
+(np.fft.rfftn / irfftn, Grid.half_shape modes) and every propagator is
+built on that layout.  Audit-passing systems (diagonal D, T[i] and L)
+propagate elementwise, N scalar exponentials per mode; coupled systems
+apply an N x N matrix per mode.  Repeated runs of one spec on one grid and
+step reuse its propagator tables (at most the two one run needs are kept,
+and they go with the spec).
+
 State with any |value| > 1e12 or a non-finite entry aborts the run and
 returns the recorded series up to the last finite step, flagged.
 """
@@ -23,19 +31,20 @@ returns the recorded series up to the last finite step, flagged.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, DimensionMismatchError, Field, Grid, Reaction, SystemSpec
-from .spectral import ModePropagator, SpectrumField, build_propagator
+from .spectral import ModePropagator, build_propagator
 
 __all__ = [
     "RunConfig",
     "TimeSeries",
     "ReactionOverflowError",
     "BLOWUP_THRESHOLD",
-    "step_linear",
     "evaluate_reaction",
     "suggest_dt",
     "run",
@@ -48,6 +57,12 @@ BLOWUP_THRESHOLD = 1e12
 EXP_RANGE_BUDGET = 700.0
 
 CSV_HEADER = "t,component,min,argmin_index,mass,l2norm"
+
+# propagator tables per live spec, keyed (grid, dt, fold); the entries are
+# dropped with their spec, and an IF-RK4 run needs two tables
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_PER_SPEC = 2
+_TABLES_LOCK = threading.Lock()
 
 
 class ReactionOverflowError(ArithmeticError):
@@ -146,17 +161,6 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     return t_end / steps
 
 
-def step_linear(s: SpectrumField, propagator: ModePropagator) -> SpectrumField:
-    """Advance a spectrum by one exact linear step, mode by mode."""
-    if propagator.grid != s.grid:
-        raise DimensionMismatchError("propagator and spectrum grids differ")
-    if propagator.ncomp != s.ncomp:
-        raise DimensionMismatchError(
-            f"propagator ncomp {propagator.ncomp} != spectrum ncomp {s.ncomp}"
-        )
-    return SpectrumField(s.grid, propagator.apply(s.coeffs))
-
-
 def evaluate_reaction(u: Field, reaction: Reaction) -> Field:
     """Pointwise F(u); the stepper subtracts this from the linear part."""
     reaction.validate(u.ncomp)
@@ -164,6 +168,18 @@ def evaluate_reaction(u: Field, reaction: Reaction) -> Field:
     if not np.all(np.isfinite(out)):
         raise ReactionOverflowError()
     return Field(u.grid, out)
+
+
+def _propagator(spec: SystemSpec, grid: Grid, dt: float, fold: bool) -> ModePropagator:
+    """build_propagator, reusing the table of an identical earlier call on this spec."""
+    key = (grid, dt, fold)
+    with _TABLES_LOCK:
+        tables = _TABLES.setdefault(spec, {})
+        if key not in tables:
+            if len(tables) >= _TABLES_PER_SPEC:
+                del tables[next(iter(tables))]
+            tables[key] = build_propagator(spec, grid, dt, include_linear_reaction=fold)
+        return tables[key]
 
 
 def _diagnostics_row(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -191,24 +207,26 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     dt = rc.dt
     kind = spec.reaction.kind
 
+    def to_values(c: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(c, s=grid.shape, axes=axes)
+
     if kind in ("zero", "linear"):
-        prop = build_propagator(spec, grid, dt, include_linear_reaction=(kind == "linear"))
+        prop = _propagator(spec, grid, dt, fold=(kind == "linear"))
 
         def advance(c: np.ndarray, step: int) -> np.ndarray:
             return prop.apply(c)
 
     else:
-        full = build_propagator(spec, grid, dt)
-        half = build_propagator(spec, grid, dt / 2.0)
-        mask = grid.dealias_mask if rc.dealias else None
+        full = _propagator(spec, grid, dt, fold=False)
+        half = _propagator(spec, grid, dt / 2.0, fold=False)
+        mask = grid.half_dealias_mask if rc.dealias else None
         react = spec.reaction
 
         def nonlinear(c: np.ndarray, step: int) -> np.ndarray:
-            u = np.fft.ifftn(c, axes=axes).real
-            f = react.evaluate(u)
+            f = react.evaluate(to_values(c))
             if not np.all(np.isfinite(f)):
                 raise ReactionOverflowError(step)
-            fc = np.fft.fftn(-f, axes=axes)
+            fc = np.fft.rfftn(-f, axes=axes)
             if mask is not None:
                 fc *= mask
             return fc
@@ -229,7 +247,7 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     last_values, last_t = u0.values, 0.0
     blown, blow_step = False, None
 
-    coeffs = np.fft.fftn(u0.values, axes=axes)
+    coeffs = np.fft.rfftn(u0.values, axes=axes)
     for step in range(1, rc.n_steps + 1):
         try:
             coeffs = advance(coeffs, step)
@@ -237,7 +255,7 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             blown, blow_step = True, err.step if err.step is not None else step
             break
         if step % rc.output_stride == 0 or step == rc.n_steps:
-            values = np.fft.ifftn(coeffs, axes=axes).real
+            values = to_values(coeffs)
             if not np.all(np.isfinite(values)) or np.abs(values).max() > BLOWUP_THRESHOLD:
                 blown, blow_step = True, step
                 break

@@ -29,3 +29,19 @@ def grid1d():
 def scalar_heat_spec():
     """d=1, single component, pure sixth-order diffusion."""
     return SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), ZeroReaction())
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Arguments of every propagator build that stepper.run makes during the test."""
+    from trilap import stepper
+
+    calls = []
+    real = stepper.build_propagator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "build_propagator", counting)
+    return calls

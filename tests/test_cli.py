@@ -114,6 +114,37 @@ def test_counterexample_without_negativity_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind,d", [("diffusion", 2), ("transport", 3)])
+def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
+    code, stdout, err = run_cli(
+        ["counterexample", "--kind", kind, "--d", str(d), "--n", "32", "--eps", "1",
+         "--out", str(tmp_path), "--json"], capsys)
+    assert code in (0, 2), err
+    payload = json.loads(stdout)
+    assert code == (0 if payload["negativity_observed"] else 2)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["n"] == 32
+    assert manifest["config"]["box"] == pytest.approx(2.2 * 32 / 128)
+
+
+@pytest.mark.parametrize("command,patch,field", [
+    ("audit", {"d": "x"}, "'d'"),
+    ("simulate", {"d": "x"}, "'d'"),
+    # audit reads no grid
+    ("simulate", {"grid": {"box": 8.0}}, "'grid.n'"),
+])
+def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch, field):
+    cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | patch
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    args = [command, str(path), "--out", str(tmp_path / "o")]
+    if command == "simulate":
+        args += ["--t-end", "0.1"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 4
+    assert field in err
+
+
 def test_simulate_writes_outputs(tmp_path, capsys):
     out = tmp_path / "sim"
     code, stdout, _ = run_cli(

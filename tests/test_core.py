@@ -66,6 +66,42 @@ def test_missing_field_is_named(missing):
         load_system(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("patch,field", [
+    ({"d": "x"}, "d"),
+    ({"d": 1.5}, "d"),
+    ({"N": "x"}, "N"),
+    ({"N": None}, "N"),
+])
+def test_non_numeric_system_field_is_named(patch, field):
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        load_system(json.dumps(dict(VALID_CFG, **patch)))
+
+
+@pytest.mark.parametrize("grid,field", [
+    ({"box": 8.0}, "grid.n"),
+    ({"n": 16}, "grid.box"),
+    ({"n": "x", "box": 8.0}, "grid.n"),
+    ({"n": 16.5, "box": 8.0}, "grid.n"),
+    ({"n": 16, "box": "x"}, "grid.box"),
+    ({"n": 16, "box": [8.0]}, "grid.box"),
+    ([16, 8.0], "grid"),
+])
+def test_malformed_grid_field_is_named(grid, field):
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        load_grid(json.dumps(dict(VALID_CFG, grid=grid)))
+
+
+def test_non_numeric_d_is_named_by_load_grid():
+    with pytest.raises(ConfigError, match="field 'd'"):
+        load_grid(json.dumps(dict(VALID_CFG, d="x")))
+
+
+def test_integral_float_fields_load():
+    text = json.dumps(dict(VALID_CFG, d=1.0, N=1.0, grid={"n": 16.0, "box": 8}))
+    assert load_system(text).d == 1
+    assert load_grid(text) == Grid(d=1, n=16, box=8.0)
+
+
 def test_linear_reaction_side_checked():
     cfg = dict(VALID_CFG, reaction={"kind": "linear", "L": [[1, 0], [0, 1]]})
     with pytest.raises(DimensionMismatchError):

@@ -220,6 +220,12 @@ def test_experiment_drops_failing_eps(monkeypatch):
     assert rep.fitted_slope is None  # one point cannot be fitted
 
 
+def test_experiment_builds_one_propagator_for_all_eps(build_calls):
+    rep = run_violation_experiment(DiffusionViolation(), (1.0, 0.5, 0.25), Grid(1, 512, 4.0))
+    assert rep.eps == (1.0, 0.5, 0.25)
+    assert len(build_calls) == 1
+
+
 def test_fit_power_law():
     assert fit_power_law((1.0, 0.5, 0.25), (2.0, 128.0, 8192.0)) == pytest.approx(-6.0)
     assert fit_power_law((1.0,), (2.0,)) is None

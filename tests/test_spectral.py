@@ -181,21 +181,64 @@ def test_propagator_identity_at_zero_mode(rng):
     assert np.array_equal(prop.exps[0], np.eye(2))
 
 
+def _half(grid, mesh):
+    """A full-layout mesh cut to the half spectrum (last axis m = 0..n/2)."""
+    return mesh[..., : grid.n // 2 + 1]
+
+
 def test_propagator_scalar_formula():
     g = Grid(d=1, n=16, box=8.0)
     a, gam, dt = 0.7, 0.3, 0.05
     spec = SystemSpec(1, 1, [[a]], ([[gam]],))
     prop = build_propagator(spec, g, dt)
-    expected = np.exp(dt * (-a * g.k_sixth + 1j * gam * g.deriv_mesh[0]))
-    assert np.abs(prop.exps[..., 0, 0] - expected).max() < 1e-12
+    assert prop.exps.shape == (1, 9)
+    expected = np.exp(dt * (-a * _half(g, g.k_sixth) + 1j * gam * _half(g, g.deriv_mesh[0])))
+    assert np.abs(prop.exps[0] - expected).max() < 1e-12
 
 
 def test_propagator_diagonal_system_stays_diagonal():
+    # a diagonal system is stored as N decoupled tables, each exactly the
+    # table of its own scalar system
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 2, np.diag([1.0, 2.0]), (np.diag([0.5, -0.5]),))
     prop = build_propagator(spec, g, 0.01)
-    assert np.abs(prop.exps[..., 0, 1]).max() == 0.0
-    assert np.abs(prop.exps[..., 1, 0]).max() == 0.0
+    assert prop.decoupled and prop.exps.shape == (2,) + g.half_shape
+    for k, (a, gam) in enumerate([(1.0, 0.5), (2.0, -0.5)]):
+        alone = build_propagator(SystemSpec(1, 1, [[a]], ([[gam]],)), g, 0.01)
+        assert np.array_equal(prop.exps[k], alone.exps[0])
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("fold", [False, True])
+def test_decoupled_propagator_matches_matrix_exp(rng, d, n, fold):
+    g = Grid(d=d, n=n, box=8.0)
+    ncomp = 3
+    diff = np.diag(rng.uniform(0.2, 2.0, ncomp))
+    gammas = tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d))
+    lin = np.diag(rng.uniform(-1.0, 1.0, ncomp))
+    spec = SystemSpec(d, ncomp, diff, gammas, LinearReaction(lin))
+    dt = 2e-3
+    prop = build_propagator(spec, g, dt, include_linear_reaction=fold)
+    assert prop.decoupled
+    symbol = -_half(g, g.k_sixth)[..., None, None] * diff.astype(complex)
+    for axis, gam in enumerate(gammas):
+        symbol = symbol + 1j * _half(g, g.deriv_mesh[axis])[..., None, None] * gam
+    if fold:
+        symbol = symbol - lin
+    ref = np.diagonal(matrix_exp_batch(dt * symbol), axis1=-2, axis2=-1)
+    assert np.abs(np.moveaxis(prop.exps, 0, -1) - ref).max() < 1e-12
+
+
+def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
+    g = Grid(d=2, n=16, box=8.0)
+    lin = np.array([[1.0, 0.5], [0.0, 1.0]])
+    spec = SystemSpec(2, 2, np.diag([1.0, 2.0]), (np.diag([0.5, -0.5]), np.eye(2)),
+                      LinearReaction(lin))
+    assert build_propagator(spec, g, 0.01).decoupled
+    folded = build_propagator(spec, g, 0.01, include_linear_reaction=True)
+    assert not folded.decoupled
+    assert folded.exps.shape == g.half_shape + (2, 2)
+    assert np.abs(folded.exps[..., 0, 1]).max() > 0.0
 
 
 def test_propagator_semigroup(rng):
@@ -223,8 +266,8 @@ def test_propagator_folds_linear_reaction():
     plain = build_propagator(spec, g, dt)
     folded = build_propagator(spec, g, dt, include_linear_reaction=True)
     # scalar symbol commutes, so folding L multiplies every mode by exp(-L dt)
-    want = plain.exps[..., 0, 0] * np.exp(-2.0 * dt)
-    assert np.abs(folded.exps[..., 0, 0] - want).max() < 1e-12
+    want = plain.exps[0] * np.exp(-2.0 * dt)
+    assert np.abs(folded.exps[0] - want).max() < 1e-12
 
 
 def test_propagator_rejects_polynomial_fold():

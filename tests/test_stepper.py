@@ -13,11 +13,8 @@ from trilap import (
     ZeroReaction,
     build_propagator,
     evaluate_reaction,
-    forward,
-    inverse,
     min_component_value,
     run,
-    step_linear,
 )
 
 from conftest import pd_diffusion, zero_transport
@@ -41,16 +38,16 @@ def test_single_harmonic_decay(scalar_heat_spec, grid1d):
     x = grid1d.axis_coords
     u = Field(grid1d, np.cos(k * x)[None])
     dt = 0.01
-    prop = build_propagator(scalar_heat_spec, grid1d, dt)
-    out = inverse(step_linear(forward(u), prop))
+    out = run(scalar_heat_spec, u, RunConfig(t_end=dt, dt=dt)).final_state
     assert np.abs(out.values - np.exp(-(k**6) * dt) * u.values).max() < 1e-12
 
 
 def test_zero_dt_propagator_is_identity_step(scalar_heat_spec, grid1d, rng):
     u = Field(grid1d, rng.standard_normal((1, 64)))
     prop = build_propagator(scalar_heat_spec, grid1d, 0.0)
-    out = inverse(step_linear(forward(u), prop))
-    assert np.abs(out.values - u.values).max() < 1e-13
+    half = np.fft.rfftn(u.values, axes=(1,))
+    out = np.fft.irfftn(prop.apply(half), s=grid1d.shape, axes=(1,))
+    assert np.abs(out - u.values).max() < 1e-13
 
 
 def test_linear_step_matches_eigendecomposition_oracle(rng):
@@ -62,6 +59,38 @@ def test_linear_step_matches_eigendecomposition_oracle(rng):
     ts = run(spec, u0, RunConfig(t_end=dt, dt=dt))
     oracle = mode_exponential_step(spec, grid, u0.values, dt, include_linear_reaction=True)
     assert np.abs(ts.final_state.values - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+def test_coupled_run_matches_full_complex_oracle(rng, d, n):
+    grid = Grid(d=d, n=n, box=8.0)
+    spec = SystemSpec(d, 2, pd_diffusion(rng, 2),
+                      tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(d)),
+                      LinearReaction(rng.uniform(-1, 1, (2, 2))))
+    # a checkerboard puts energy at the Nyquist mode of every axis
+    nyquist = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+    u0 = Field(grid, rng.standard_normal((2,) + grid.shape) + np.stack([nyquist, -nyquist]))
+    dt = 1e-4
+    ts = run(spec, u0, RunConfig(t_end=dt, dt=dt))
+    oracle = mode_exponential_step(spec, grid, u0.values, dt, include_linear_reaction=True)
+    assert np.abs(ts.final_state.values - oracle).max() < 1e-10
+
+
+def test_propagator_tables_reused_per_spec_grid_and_step(build_calls, grid1d):
+    calls = build_calls
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LOGISTIC)
+    u0 = Field(grid1d, (0.5 + 0.1 * np.cos(2 * np.pi * grid1d.axis_coords / 16.0))[None])
+    rc = RunConfig(t_end=0.02, dt=0.01)
+    first = run(spec, u0, rc)
+    assert len(calls) == 2  # full and half step
+    again = run(spec, u0, rc)
+    assert len(calls) == 2
+    assert np.array_equal(first.final_state.values, again.final_state.values)
+    run(spec, u0, RunConfig(t_end=0.02, dt=0.02))
+    assert len(calls) == 4  # a new step size builds its own pair
+    twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LOGISTIC)
+    run(twin, u0, rc)
+    assert len(calls) == 6  # tables belong to one spec object
 
 
 def test_evaluate_reaction_examples(grid1d):
