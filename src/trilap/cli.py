@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
 
     pp = sub.add_parser("probe", help="build a probe and report its key derivative")
     pp.add_argument("--kind", choices=("diffusion", "transport"), required=True)
-    pp.add_argument("--d", type=int, required=True)
+    pp.add_argument("--d", type=int, choices=(1, 2, 3), required=True)
     pp.add_argument("--eps", type=float, default=1.0)
     pp.add_argument("--n", type=int, default=None)
     pp.add_argument("--box", type=float, default=None)
@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--a", type=float, default=1.0, help="diffusion coupling strength")
     pc.add_argument("--gamma", type=float, default=1.0, help="transport coupling strength")
     pc.add_argument("--axis", type=int, default=1, help="transport axis (1-based)")
-    pc.add_argument("--d", type=int, default=1)
+    pc.add_argument("--d", type=int, choices=(1, 2, 3), default=1)
     pc.add_argument("--eps", default="1,0.5,0.25", help="comma-separated dilation scales")
     pc.add_argument("--n", type=int, default=None)
     pc.add_argument("--box", type=float, default=None)
@@ -172,9 +172,17 @@ def _cmd_audit(args, argv) -> int:
     return EXIT_WARNINGS if report.warnings else EXIT_OK
 
 
+def _floats(text: str, flag: str) -> np.ndarray:
+    """Comma-separated numbers of a command-line flag."""
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}")
+
+
 def _initial_data(kind: str, grid: Grid, ncomp: int, seed: int) -> Field:
     if kind.startswith("constant:"):
-        vals = np.array([float(x) for x in kind.split(":", 1)[1].split(",")])
+        vals = _floats(kind.split(":", 1)[1], "--u0 constant")
         if vals.shape[0] != ncomp:
             raise ConfigError(f"--u0 constant needs {ncomp} values, got {vals.shape[0]}")
         return Field(
@@ -296,7 +304,7 @@ def _cmd_counterexample(args, argv) -> int:
         kind = TransportViolation(k=k, j=j, axis=args.axis - 1, gamma=args.gamma)
     else:
         kind = ReactionViolation(k=k, j=j)
-    eps_list = [float(x) for x in args.eps.split(",")]
+    eps_list = _floats(args.eps, "--eps").tolist()
     if d == 1:
         n = args.n if args.n is not None else 512
         grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)
@@ -322,7 +330,7 @@ def _cmd_counterexample(args, argv) -> int:
 def _cmd_ode_check(args, argv) -> int:
     text = _read_config(args.config)
     spec = load_system(text)
-    y0 = np.array([float(x) for x in args.u0.split(",")])
+    y0 = _floats(args.u0, "--u0")
     if y0.shape[0] == 1 and spec.ncomp > 1:
         y0 = np.full(spec.ncomp, y0[0])
     cmp = ode_reduction_check(spec.reaction, y0, args.t_end, args.dt)

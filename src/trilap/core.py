@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -81,13 +82,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def as_square_matrix(entries, side: int | None = None, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite real square matrix as a read-only array."""
-    m = np.array(entries, dtype=float)
+    try:
+        m = np.array(entries)
+    except ValueError:  # ragged rows
+        m = None
+    if m is None or m.dtype.kind not in "iuf":
+        raise ConfigError(f"field '{name}': expected a square matrix of real numbers, got {entries!r}")
+    m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"{name}: expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatchError(f"field '{name}': expected a square matrix, got shape {m.shape}")
     if side is not None and m.shape[0] != side:
-        raise DimensionMismatchError(f"{name}: expected side {side}, got {m.shape[0]}")
+        raise DimensionMismatchError(f"field '{name}': expected side {side}, got {m.shape[0]}")
     if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{name}: entries must all be finite")
+        raise ConfigError(f"field '{name}': entries must all be finite")
     return _readonly(m)
 
 
@@ -167,14 +174,6 @@ class Grid:
     def _k_squared(self, half: bool) -> np.ndarray:
         return sum(m**2 for m in self._spectral_meshes(self.wavenumbers, half))
 
-    def _dealias(self, half: bool) -> np.ndarray:
-        m = np.abs(np.fft.fftfreq(self.n) * self.n)
-        meshes = self._spectral_meshes(m < self.n / 3.0, half)
-        out = meshes[0]
-        for extra in meshes[1:]:
-            out = out & extra
-        return _readonly(out)
-
     @cached_property
     def k_squared(self) -> np.ndarray:
         return _readonly(self._k_squared(half=False))
@@ -201,13 +200,10 @@ class Grid:
         )
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True on retained modes."""
-        return self._dealias(half=False)
-
-    @cached_property
     def half_dealias_mask(self) -> np.ndarray:
-        return self._dealias(half=True)
+        """2/3-rule mask on the half spectrum: True on retained modes."""
+        m = np.abs(np.fft.fftfreq(self.n) * self.n)
+        return _readonly(np.logical_and.reduce(self._spectral_meshes(m < self.n / 3.0, half=True)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,15 +288,11 @@ class PolynomialReaction(Reaction):
 
     def __post_init__(self):
         norm = tuple(
-            tuple((float(c), tuple(int(e) for e in expo)) for c, expo in comp)
-            for comp in self.terms
+            tuple(
+                _monomial(c, expo, f"reaction.terms[{k}][{i}]") for i, (c, expo) in enumerate(comp)
+            )
+            for k, comp in enumerate(self.terms)
         )
-        for comp in norm:
-            for c, expo in comp:
-                if not np.isfinite(c):
-                    raise ConfigError("polynomial reaction: coefficients must be finite")
-                if any(e < 0 for e in expo):
-                    raise ConfigError("polynomial reaction: exponents must be nonnegative")
         object.__setattr__(self, "terms", norm)
 
     def evaluate(self, values):
@@ -337,6 +329,17 @@ class PolynomialReaction(Reaction):
                 [{"coeff": c, "exponents": list(e)} for c, e in comp] for comp in self.terms
             ],
         }
+
+
+def _monomial(coeff, exponents, at: str) -> tuple[float, tuple[int, ...]]:
+    """(coeff, exponents) as a finite float and nonnegative ints; errors name the field `at`."""
+    c = _as_number(coeff, f"{at}.coeff", integer=False)
+    if not math.isfinite(c):
+        raise ConfigError(f"field '{at}.coeff': coefficients must be finite")
+    expo = tuple(_as_number(e, f"{at}.exponents", integer=True) for e in exponents)
+    if any(e < 0 for e in expo):
+        raise ConfigError(f"field '{at}.exponents': exponents must be nonnegative")
+    return c, expo
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,11 +490,15 @@ def _reaction_from_config(node) -> Reaction:
 
 
 def _config_number(node: dict, key: str, name: str, integer: bool):
-    """node[key] as an int (integer=True, integral values only) or a float."""
+    """node[key] checked by _as_number; a missing key names the field."""
     if key not in node:
         raise ConfigError(f"field '{name}': missing")
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    return _as_number(node[key], name, integer)
+
+
+def _as_number(value, name: str, integer: bool):
+    """value as an int (integer=True, integral values only) or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"field '{name}': expected a number, got {value!r}")
     if not integer:
         return float(value)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AuditReport, Reaction, SystemSpec, Violation, as_square_matrix
+from .core import AuditReport, ConfigError, Reaction, SystemSpec, Violation, as_square_matrix
 
 __all__ = [
     "SignSampler",
@@ -61,9 +61,9 @@ class SignSampler:
 
     def __post_init__(self):
         if self.samples_per_component < 1:
-            raise ValueError("samples_per_component must be >= 1")
+            raise ConfigError("samples_per_component must be >= 1")
         if not self.magnitude_scales or any(s <= 0 for s in self.magnitude_scales):
-            raise ValueError("magnitude scales must be positive")
+            raise ConfigError("magnitude scales must be positive")
 
     def face_points(self, ncomp: int, k: int) -> np.ndarray:
         """Nonnegative sample points with coordinate k pinned to 0, shape (P, ncomp)."""
@@ -98,7 +98,7 @@ def check_assumption_offdiag_nonneg(diffusion) -> list[Violation]:
 def check_diagonality(matrix, tol: float = 0.0, matrix_id: str = "A") -> list[Violation]:
     """Every off-diagonal entry exceeding tol in magnitude (default: exact zero)."""
     if tol < 0:
-        raise ValueError("tol must be >= 0")
+        raise ConfigError("tol must be >= 0")
     m = as_square_matrix(matrix, name=matrix_id)
     rule = RULE_DIAG_A if matrix_id == "A" else RULE_DIAG_GAMMA
     out = []

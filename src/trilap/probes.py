@@ -44,6 +44,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .core import (
+    ConfigError,
     Field,
     Grid,
     PolynomialReaction,
@@ -52,14 +53,7 @@ from .core import (
     ZeroReaction,
     min_component_value,
 )
-from .spectral import (
-    PropagatorOverflowError,
-    SpectrumField,
-    apply_laplacian_cubed,
-    apply_transport,
-    forward,
-    inverse,
-)
+from .spectral import PropagatorOverflowError, apply_modes, symbol
 from .stepper import RunConfig, run
 
 __all__ = [
@@ -240,55 +234,41 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-def lap3_at_origin(u: Field, component: int = 0) -> float:
-    """Triple Laplacian of one component evaluated at the origin sample.
-
-    Half-spectrum reduction of the same multiplier used by
-    spectral.apply_laplacian_cubed: cheaper than a full round trip, which
-    matters for the d=3 refinement studies.
-    """
+def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
+    """One component times a half-spectrum multiplier, read at the origin sample."""
     grid = u.grid
-    n, d = grid.n, grid.d
-    coeffs = np.fft.rfftn(u.values[component])
-    half = np.arange(n // 2 + 1)
-    xi_half_sq = (2.0 * np.pi * half / grid.box) ** 2
-    k_sq = xi_half_sq.reshape((1,) * (d - 1) + (-1,)).copy()
-    full_sq = grid.wavenumbers**2
-    for ax in range(d - 1):
-        k_sq = k_sq + full_sq.reshape((1,) * ax + (-1,) + (1,) * (d - 1 - ax))
-    # phase at the centred origin is (-1)^(sum of integer frequencies);
-    # interior half-spectrum columns stand for a conjugate pair
-    sign_half = np.where(half % 2 == 0, 1.0, -1.0)
-    pair_weight = np.full(n // 2 + 1, 2.0)
-    pair_weight[0] = 1.0
-    pair_weight[-1] = 1.0
-    w = (sign_half * pair_weight).reshape((1,) * (d - 1) + (-1,))
-    sign_full = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    for ax in range(d - 1):
-        w = w * sign_full.reshape((1,) * ax + (-1,) + (1,) * (d - 1 - ax))
-    return float(np.sum(-(k_sq**3) * coeffs.real * w) / n**d)
+    axes = tuple(range(grid.d))
+    coeffs = multiplier * np.fft.rfftn(u.values[component], axes=axes)
+    return float(np.fft.irfftn(coeffs, s=grid.shape, axes=axes)[grid.origin_index])
+
+
+def lap3_at_origin(u: Field, component: int = 0) -> float:
+    """Triple Laplacian of one component evaluated at the origin sample."""
+    return _at_origin(u, component, -u.grid.half_k_sixth)
 
 
 def axis_derivative_at_origin(u: Field, axis: int, component: int = 0) -> float:
     """First derivative along one axis at the origin sample, spectrally."""
-    grid = u.grid
-    axes = tuple(range(1, grid.d + 1))
-    coeffs = np.fft.fftn(u.values[[component]], axes=axes)
-    deriv = 1j * grid.deriv_mesh[axis] * coeffs
-    vals = np.fft.ifftn(deriv, axes=axes).real
-    return float(vals[(0,) + grid.origin_index])
+    return _at_origin(u, component, 1j * u.grid.half_deriv_mesh[axis])
 
 
 def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
     """Right-hand side at t = 0: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0)."""
-    s = forward(u0)
-    lin = apply_laplacian_cubed(s, spec.diffusion).coeffs + apply_transport(s, spec.transport).coeffs
-    rate = inverse(SpectrumField(u0.grid, lin)).values - spec.reaction.evaluate(u0.values)
-    return Field(u0.grid, rate)
+    grid = u0.grid
+    axes = tuple(range(1, grid.d + 1))
+    # full layout on purpose: rfftn moves this |xi|^6-amplified rate by 2e-4 relative (d=2, n=256)
+    m = symbol(spec, grid.k_sixth, grid.deriv_mesh)
+    lin = np.fft.ifftn(apply_modes(m, np.fft.fftn(u0.values, axes=axes)), axes=axes).real
+    return Field(grid, lin - spec.reaction.evaluate(u0.values))
 
 
 # ---------------------------------------------------------------------------
 # violation experiments
+
+
+def _check_pair(k: int, j: int) -> None:
+    if k == j or min(k, j) < 0:
+        raise ConfigError(f"need distinct component indices >= 0, got k={k}, j={j}")
 
 
 @dataclass(frozen=True)
@@ -303,10 +283,9 @@ class DiffusionViolation:
     expected_slope = -6.0
 
     def __post_init__(self):
-        if self.k == self.j:
-            raise ValueError("need k != j")
+        _check_pair(self.k, self.j)
         if self.a <= 0:
-            raise ValueError("need a > 0 so the coupling is premise-compatible")
+            raise ConfigError("need a > 0 so the coupling is premise-compatible")
 
     @property
     def ncomp(self) -> int:
@@ -346,16 +325,17 @@ class TransportViolation:
     expected_slope = -1.0
 
     def __post_init__(self):
-        if self.k == self.j:
-            raise ValueError("need k != j")
+        _check_pair(self.k, self.j)
         if self.gamma == 0:
-            raise ValueError("need a nonzero coupling")
+            raise ConfigError("need a nonzero coupling")
 
     @property
     def ncomp(self) -> int:
         return max(self.k, self.j) + 1
 
     def system(self, d: int) -> SystemSpec:
+        if not 0 <= self.axis < d:
+            raise ConfigError(f"transport axis {self.axis} out of range for d={d}")
         gammas = [np.zeros((self.ncomp,) * 2) for _ in range(d)]
         gammas[self.axis][self.k, self.j] = self.gamma
         return SystemSpec(d, self.ncomp, np.eye(self.ncomp), tuple(gammas))
@@ -388,8 +368,7 @@ class ReactionViolation:
     expected_slope = 0.0
 
     def __post_init__(self):
-        if self.k == self.j:
-            raise ValueError("need k != j")
+        _check_pair(self.k, self.j)
         if self.reaction is None:
             terms = []
             for c in range(self.ncomp):
@@ -593,9 +572,9 @@ def ode_reduction_check(
     """
     y0 = np.asarray(u0_const, dtype=float)
     if y0.ndim != 1:
-        raise ValueError("u0_const must be a flat component vector")
+        raise ConfigError("u0_const must be a flat component vector")
     if np.any(y0 < 0):
-        raise ValueError("u0_const must be componentwise nonnegative")
+        raise ConfigError("u0_const must be componentwise nonnegative")
     ncomp = y0.shape[0]
     grid = grid if grid is not None else Grid(d=1, n=8, box=32.0)
     spec = SystemSpec(

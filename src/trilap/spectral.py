@@ -1,24 +1,28 @@
-"""Discrete Fourier transforms, spectral multipliers and mode propagators.
+"""The per-mode symbol of the linear part, its exponentials and their application.
 
 The linear part of the system has the per-mode symbol
 
     M(xi) = -|xi|^6 * D + i * sum_j xi_j * T[j]          (N x N, complex)
 
-so advancing the linear flow by dt multiplies each retained Fourier
-coefficient vector by exp(dt * M(xi)).  Propagators live on the real half
-spectrum (np.fft.rfftn layout, Grid.half_shape modes): real fields are
-conjugate symmetric, so the other half carries no information.  When D,
-every T[j] and any folded L are diagonal (the systems that pass the audit)
-each mode splits into N scalar ODEs and the table is the elementwise
-exp(dt * (-|xi|^6 D_kk + i xi.T_kk - L_kk)).  Coupled systems get an N x N
-exponential per mode by scaling-and-squaring (diagonal Pade of order 13,
-Higham's theta_13 switchover), evaluated batched over modes.
+minus L when a linear reaction is folded in.  `symbol` is the one place it
+is assembled.  It takes the |xi|^6 and first-derivative meshes as
+arguments, so it serves both spectral layouts: the real half spectrum
+(np.fft.rfftn, Grid.half_* meshes) that the stepper carries, and the full
+complex DFT (np.fft.fftn, Grid.k_sixth / deriv_mesh) of the initial rate.
+When D, every T[j] and any folded L are diagonal (the systems that pass the
+audit) each mode splits into N scalar symbols, stored (N, *mesh);
+otherwise there is one N x N matrix per mode, stored (*mesh, N, N).
+`apply_modes` multiplies stacked spectra by either form.
 
-`forward`, `inverse` and the multipliers keep the full complex DFT per
-component, numpy's unnormalised forward / 1/n^d inverse convention,
-coefficients indexed like np.fft.fftfreq.  Real input fields keep
-conjugate symmetry under every operation here; odd-derivative multipliers
-zero the unmatched Nyquist frequency (see core.Grid).
+Advancing the linear flow by dt multiplies each retained Fourier
+coefficient vector by exp(dt * M(xi)).  Propagators live on the half
+spectrum: real fields are conjugate symmetric, so the other half carries no
+information.  Diagonal symbols exponentiate elementwise; coupled ones get
+an N x N exponential per mode by scaling-and-squaring (diagonal Pade of
+order 13, Higham's theta_13 switchover), evaluated batched over modes.
+Spectra follow numpy's unnormalised forward / 1/n^d inverse convention;
+odd-derivative multipliers zero the unmatched Nyquist frequency (see
+core.Grid).
 """
 
 from __future__ import annotations
@@ -27,16 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, Field, Grid, SystemSpec, as_square_matrix
+from .core import DimensionMismatchError, Grid, SystemSpec
 
 __all__ = [
-    "SpectrumField",
     "ModePropagator",
     "PropagatorOverflowError",
-    "forward",
-    "inverse",
-    "apply_laplacian_cubed",
-    "apply_transport",
+    "symbol",
+    "apply_modes",
     "matrix_exp_batch",
     "build_propagator",
 ]
@@ -46,58 +47,57 @@ class PropagatorOverflowError(ArithmeticError):
     """exp(dt * M) produced non-finite entries; reduce dt or the resolution."""
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumField:
-    """Fourier coefficients of a field, shape (ncomp, n, ..., n) complex."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != self.grid.d + 1 or c.shape[1:] != self.grid.shape:
-            raise DimensionMismatchError(
-                f"spectrum shape {c.shape} does not match grid shape (ncomp,) + {self.grid.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.array_equal(m, np.diag(np.diag(m)))
 
 
-def forward(u: Field) -> SpectrumField:
-    """DFT per component."""
-    axes = tuple(range(1, u.grid.d + 1))
-    return SpectrumField(u.grid, np.fft.fftn(u.values, axes=axes))
+def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=()) -> np.ndarray:
+    """M(xi) minus every matrix in `folded`, on the modes of the given meshes.
+
+    Returns the diagonal, shape (N, *mesh), when D, every T[j] and the
+    folded matrices are diagonal; otherwise one N x N matrix per mode,
+    shape (*mesh, N, N).
+    """
+    if len(deriv_mesh) != spec.d:
+        raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
+    mats = (spec.diffusion, *spec.transport, *folded)
+    if all(_is_diagonal(m) for m in mats):
+        column = (-1,) + (1,) * k_sixth.ndim
+        mats = [np.diag(m).reshape(column) for m in mats]
+    else:
+        k_sixth, deriv_mesh = k_sixth[..., None, None], [xi[..., None, None] for xi in deriv_mesh]
+    out = -k_sixth * mats[0].astype(complex)
+    for xi, g in zip(deriv_mesh, mats[1 : spec.d + 1]):
+        out += (1j * xi) * g
+    for m in mats[spec.d + 1 :]:
+        out -= m
+    return out
 
 
-def inverse(s: SpectrumField) -> Field:
-    """Inverse DFT per component; imaginary residue of real data is dropped."""
-    axes = tuple(range(1, s.grid.d + 1))
-    return Field(s.grid, np.fft.ifftn(s.coeffs, axes=axes).real)
+def apply_modes(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Multiply stacked spectra (N, *mesh) by a symbol or propagator table, mode by mode.
 
-
-def apply_laplacian_cubed(s: SpectrumField, diffusion) -> SpectrumField:
-    """Multiply each mode by -|xi|^6 and mix components by the diffusion matrix."""
-    mat = as_square_matrix(diffusion, side=s.ncomp, name="A")
-    out = np.einsum("kj,j...->k...", mat, s.coeffs)
-    out *= -s.grid.k_sixth
-    return SpectrumField(s.grid, out)
-
-
-def apply_transport(s: SpectrumField, transport) -> SpectrumField:
-    """First-derivative term: out(xi) = i * sum_j xi_j * T[j] * s(xi)."""
-    gammas = tuple(transport)
-    if len(gammas) != s.grid.d:
+    A table of shape (N, *mesh) multiplies elementwise; one of shape
+    (*mesh, N, N) applies its matrix to each mode's coefficient vector.
+    """
+    decoupled = table.ndim == coeffs.ndim
+    fits = table.shape if decoupled else (table.shape[-1],) + table.shape[:-2]
+    if coeffs.shape != fits:
         raise DimensionMismatchError(
-            f"expected {s.grid.d} transport matrices, got {len(gammas)}"
+            f"spectra of shape {coeffs.shape} do not fit a table of shape {table.shape}"
         )
-    out = np.zeros_like(s.coeffs)
-    for axis, g in enumerate(gammas):
-        mat = as_square_matrix(g, side=s.ncomp, name=f"Gamma[{axis}]")
-        out += 1j * s.grid.deriv_mesh[axis] * np.einsum("kj,j...->k...", mat, s.coeffs)
-    return SpectrumField(s.grid, out)
+    if decoupled:
+        return table * coeffs
+    # the sums of a batched per-mode matmul, one output component at a time
+    # (matmul's per-mode overhead dominates on tiny matrices); components sit
+    # innermost in memory as that matmul returns them, so results match it bit for bit
+    n = coeffs.shape[0]
+    out = np.empty(coeffs.shape[1:] + (n,), dtype=np.result_type(table, coeffs))
+    for i in range(n):
+        np.multiply(table[..., i, 0], coeffs[0], out=out[..., i])
+        for j in range(1, n):
+            out[..., i] += table[..., i, j] * coeffs[j]
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +173,7 @@ class ModePropagator:
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Advance stacked half spectra (ncomp, *half_shape) by one step."""
-        if self.decoupled:
-            return self.exps * coeffs
-        flat = coeffs.reshape(self.ncomp, -1).T[:, :, None]
-        out = np.matmul(self.exps.reshape(-1, self.ncomp, self.ncomp), flat)
-        return out[:, :, 0].T.reshape(coeffs.shape)
-
-
-def _is_diagonal(m: np.ndarray) -> bool:
-    return np.array_equal(m, np.diag(np.diag(m)))
-
-
-def _diagonal_column(m: np.ndarray, d: int) -> np.ndarray:
-    """The diagonal of m shaped (N, 1, ..., 1) to broadcast over d mode axes."""
-    return np.diag(m).reshape((-1,) + (1,) * d)
+        return apply_modes(self.exps, coeffs)
 
 
 def build_propagator(
@@ -212,29 +199,12 @@ def build_propagator(
             folded = (spec.reaction.matrix,)
         elif kind != "zero":
             raise ValueError("include_linear_reaction requires a zero or linear reaction")
-    n = spec.ncomp
-    diff, gammas = spec.diffusion, spec.transport
-    k6, xis = grid.half_k_sixth, grid.half_deriv_mesh
-    decoupled = all(_is_diagonal(m) for m in (diff, *gammas, *folded))
-    if decoupled:
-        # N scalar symbols per mode, shape (N, *half_shape)
-        diff = _diagonal_column(diff, grid.d)
-        gammas = [_diagonal_column(g, grid.d) for g in gammas]
-        folded = [_diagonal_column(m, grid.d) for m in folded]
-    else:
-        # one N x N symbol per mode, shape (modes, N, N)
-        k6, xis = k6.reshape(-1, 1, 1), [xi.reshape(-1, 1, 1) for xi in xis]
-
-    symbol = -k6 * diff.astype(complex)
-    for xi, g in zip(xis, gammas):
-        symbol = symbol + (1j * xi) * g
-    for m in folded:
-        symbol = symbol - m
-    if decoupled:
+    m = symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
+    if m.ndim == grid.d + 1:
         with np.errstate(over="ignore", invalid="ignore"):
-            exps = np.exp(dt * symbol)
+            exps = np.exp(dt * m)
     else:
-        exps = matrix_exp_batch(dt * symbol).reshape(grid.half_shape + (n, n))
+        exps = matrix_exp_batch(dt * m)
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"
@@ -242,7 +212,7 @@ def build_propagator(
     exps.setflags(write=False)
     return ModePropagator(
         grid=grid,
-        ncomp=n,
+        ncomp=spec.ncomp,
         dt=float(dt),
         include_linear_reaction=include_linear_reaction,
         exps=exps,

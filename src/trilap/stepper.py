@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionMismatchError, Field, Grid, Reaction, SystemSpec
+from .core import ConfigError, DimensionMismatchError, Field, Grid, SystemSpec
 from .spectral import ModePropagator, build_propagator
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "TimeSeries",
     "ReactionOverflowError",
     "BLOWUP_THRESHOLD",
-    "evaluate_reaction",
     "suggest_dt",
     "run",
 ]
@@ -68,10 +67,9 @@ _TABLES_LOCK = threading.Lock()
 class ReactionOverflowError(ArithmeticError):
     """Pointwise reaction evaluation produced non-finite values."""
 
-    def __init__(self, step: int | None = None):
+    def __init__(self, step: int):
         self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"non-finite reaction evaluation{at}")
+        super().__init__(f"non-finite reaction evaluation at step {step}")
 
 
 @dataclass(frozen=True)
@@ -161,15 +159,6 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     return t_end / steps
 
 
-def evaluate_reaction(u: Field, reaction: Reaction) -> Field:
-    """Pointwise F(u); the stepper subtracts this from the linear part."""
-    reaction.validate(u.ncomp)
-    out = reaction.evaluate(u.values)
-    if not np.all(np.isfinite(out)):
-        raise ReactionOverflowError()
-    return Field(u.grid, out)
-
-
 def _propagator(spec: SystemSpec, grid: Grid, dt: float, fold: bool) -> ModePropagator:
     """build_propagator, reusing the table of an identical earlier call on this spec."""
     key = (grid, dt, fold)
@@ -251,8 +240,8 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     for step in range(1, rc.n_steps + 1):
         try:
             coeffs = advance(coeffs, step)
-        except ReactionOverflowError as err:
-            blown, blow_step = True, err.step if err.step is not None else step
+        except ReactionOverflowError:
+            blown, blow_step = True, step
             break
         if step % rc.output_stride == 0 or step == rc.n_steps:
             values = to_values(coeffs)

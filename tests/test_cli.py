@@ -132,6 +132,18 @@ def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
     ("simulate", {"d": "x"}, "'d'"),
     # audit reads no grid
     ("simulate", {"grid": {"box": 8.0}}, "'grid.n'"),
+    ("audit", {"A": [[1.0, "x"], [0.0, 0.5]]}, "'A'"),
+    ("audit", {"A": [[1.0, 0.0], [0.5]]}, "'A'"),
+    ("audit", {"Gamma": [[[0.2, "x"], [0.0, -0.3]]]}, "'Gamma[0]'"),
+    ("audit", {"Gamma": [[[0.2, 0.0], [-0.3]]]}, "'Gamma[0]'"),
+    ("audit", {"reaction": {"kind": "linear", "L": [[1.0, "x"], [0.0, 1.0]]}}, "'reaction.L'"),
+    ("audit", {"reaction": {"kind": "linear", "L": [[1.0, 0.0], [1.0]]}}, "'reaction.L'"),
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": "x", "exponents": [1, 0]}], []]}}, "'reaction.terms[0][0].coeff'"),
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 1.0, "exponents": ["x", 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 1.0, "exponents": [1.5, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
 ])
 def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch, field):
     cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | patch
@@ -141,8 +153,30 @@ def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch,
     if command == "simulate":
         args += ["--t-end", "0.1"]
     code, _, err = run_cli(args, capsys)
-    assert code == 4
+    assert code == 4, err
     assert field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "{config}", "--samples", "0"],
+    ["audit", "{config}", "--tol", "-1"],
+    ["counterexample", "--kind", "diffusion", "--eps", "x"],
+    ["counterexample", "--kind", "diffusion", "--k", "1", "--j", "1"],
+    ["counterexample", "--kind", "diffusion", "--k", "0"],
+    ["counterexample", "--kind", "diffusion", "--a", "-1"],
+    ["counterexample", "--kind", "diffusion", "--d", "4"],
+    ["counterexample", "--kind", "transport", "--d", "1", "--axis", "3"],
+    ["counterexample", "--kind", "transport", "--d", "1", "--axis", "0"],
+    ["probe", "--kind", "diffusion", "--d", "4"],
+    ["simulate", "{config}", "--t-end", "0.1", "--u0", "constant:x"],
+    ["ode-check", "{config}", "--u0", "x"],
+    ["ode-check", "{config}", "--u0", "-1"],
+])
+def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
+    config = str(CONFIGS / "diagonal_logistic.json")
+    args = [a.format(config=config) for a in argv] + ["--out", str(tmp_path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 4, err
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):

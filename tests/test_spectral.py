@@ -3,20 +3,18 @@ import pytest
 import scipy.linalg
 
 from trilap import (
+    DimensionMismatchError,
     Field,
     Grid,
     LinearReaction,
     PolynomialReaction,
     PropagatorOverflowError,
-    SpectrumField,
     SystemSpec,
-    apply_laplacian_cubed,
-    apply_transport,
+    apply_modes,
     build_propagator,
-    forward,
     inner_product,
-    inverse,
     matrix_exp_batch,
+    symbol,
 )
 
 from conftest import pd_diffusion, zero_transport
@@ -31,26 +29,48 @@ def _conjugate_mirror(c):
     return out
 
 
+def _fft(u):
+    return np.fft.fftn(u.values, axes=tuple(range(1, u.grid.d + 1)))
+
+
+def _ifft(grid, c):
+    return np.fft.ifftn(c, axes=tuple(range(1, grid.d + 1))).real
+
+
+def _full_symbol(grid, diffusion, transport=None, with_lap3=True):
+    """symbol() on the full complex layout; with_lap3=False keeps only the transport term."""
+    n = np.shape(diffusion)[0]
+    spec = SystemSpec(grid.d, n, diffusion,
+                      transport if transport is not None else zero_transport(grid.d, n))
+    k6 = grid.k_sixth if with_lap3 else np.zeros_like(grid.k_sixth)
+    return symbol(spec, k6, grid.deriv_mesh)
+
+
 def test_roundtrip(rng):
+    # unit tables in both storage forms leave every mode as it is
     g = Grid(d=2, n=16, box=8.0)
     u = Field(g, rng.standard_normal((2, 16, 16)))
-    back = inverse(forward(u))
-    assert np.abs(back.values - u.values).max() < 1e-12
+    for table in (np.ones((2,) + g.shape), np.broadcast_to(np.eye(2), g.shape + (2, 2))):
+        back = _ifft(g, apply_modes(table, _fft(u)))
+        assert np.abs(back - u.values).max() < 1e-12
 
 
 def test_constant_field_spectrum(grid1d):
     u = Field(grid1d, np.ones((1, 64)))
-    c = forward(u).coeffs[0]
+    c = _fft(u)[0]
     assert c[0] == pytest.approx(64.0)
     assert np.abs(c[1:]).max() < 1e-10
+    # the symbol vanishes on the mean mode
+    assert _full_symbol(grid1d, [[1.0]], ([[0.5]],))[0, 0] == 0.0
 
 
 def test_cosine_two_coefficients(grid1d):
     x = grid1d.axis_coords
     u = Field(grid1d, np.cos(2 * np.pi * x / grid1d.box)[None])
-    c = forward(u).coeffs[0]
+    c = _fft(u)[0]
     big = np.abs(c) > 1e-8
     assert big.sum() == 2 and big[1] and big[-1]
+    assert grid1d.wavenumbers[1] == pytest.approx(2 * np.pi / grid1d.box)
 
 
 def test_laplacian_cubed_symbol_on_harmonic(grid1d):
@@ -58,55 +78,58 @@ def test_laplacian_cubed_symbol_on_harmonic(grid1d):
     k = 2 * np.pi * 3 / grid1d.box
     x = grid1d.axis_coords
     u = Field(grid1d, np.cos(k * x)[None])
-    c_in = forward(u).coeffs[0]
-    c_out = apply_laplacian_cubed(forward(u), np.eye(1)).coeffs[0]
+    c_in = _fft(u)[0]
+    c_out = apply_modes(_full_symbol(grid1d, np.eye(1)), _fft(u))
     for mode in (3, -3):
-        assert c_out[mode] == pytest.approx(-(k**6) * c_in[mode], rel=1e-12)
+        assert c_out[0, mode] == pytest.approx(-(k**6) * c_in[mode], rel=1e-12)
     # physical-space values match up to the |xi|^6-amplified transform roundoff
-    out = inverse(apply_laplacian_cubed(forward(u), np.eye(1)))
+    out = _ifft(grid1d, c_out)
     floor = 1e-14 * grid1d.k_sixth.max() * grid1d.n
-    assert np.abs(out.values + k**6 * u.values).max() < floor
+    assert np.abs(out + k**6 * u.values).max() < floor
 
 
 def test_symbol_identity_every_mode():
     # delta spectrum in each retained mode picks up exactly -(2 pi m / box)^6
     g = Grid(d=1, n=16, box=8.0)
+    table = _full_symbol(g, np.eye(1))
     for m in range(16):
         c = np.zeros((1, 16), dtype=complex)
         c[0, m] = 1.0
-        out = apply_laplacian_cubed(SpectrumField(g, c), np.eye(1))
+        out = apply_modes(table, c)
         freq = m if m < 8 else m - 16
         want = -((2 * np.pi * freq / 8.0) ** 6)
-        assert out.coeffs[0, m] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        others = np.delete(out.coeffs[0], m)
+        assert out[0, m] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        others = np.delete(out[0], m)
         assert np.abs(others).max() == 0.0
 
 
 def test_forward_of_real_field_is_conjugate_symmetric(rng):
     g = Grid(d=2, n=16, box=8.0)
-    c = forward(Field(g, rng.standard_normal((1, 16, 16)))).coeffs
+    c = _fft(Field(g, rng.standard_normal((1, 16, 16))))
     mirror = _conjugate_mirror(c)
     assert np.abs(mirror.conj() - c).max() < 1e-12 * np.abs(c).max()
 
 
 def test_laplacian_cubed_kills_mean(grid1d):
     u = Field(grid1d, np.full((1, 64), 3.0))
-    out = apply_laplacian_cubed(forward(u), np.eye(1))
-    assert np.abs(out.coeffs).max() < 1e-8
+    out = apply_modes(_full_symbol(grid1d, np.eye(1)), _fft(u))
+    assert np.abs(out).max() < 1e-8
 
 
 def test_transport_constant_is_zero(grid1d):
     u = Field(grid1d, np.full((1, 64), 2.0))
-    out = inverse(apply_transport(forward(u), [np.eye(1)]))
-    assert np.abs(out.values).max() < 1e-12
+    table = _full_symbol(grid1d, np.eye(1), [np.eye(1)], with_lap3=False)
+    out = _ifft(grid1d, apply_modes(table, _fft(u)))
+    assert np.abs(out).max() < 1e-12
 
 
 def test_transport_derivative_of_sine(grid1d):
     k = 2 * np.pi / grid1d.box
     x = grid1d.axis_coords
     u = Field(grid1d, np.sin(k * x)[None])
-    out = inverse(apply_transport(forward(u), [np.eye(1)]))
-    assert np.abs(out.values - k * np.cos(k * x)[None]).max() < 1e-10
+    table = _full_symbol(grid1d, np.eye(1), [np.eye(1)], with_lap3=False)
+    out = _ifft(grid1d, apply_modes(table, _fft(u)))
+    assert np.abs(out - k * np.cos(k * x)[None]).max() < 1e-10
 
 
 def test_transport_offdiagonal_mixes_components(grid1d, rng):
@@ -114,31 +137,61 @@ def test_transport_offdiagonal_mixes_components(grid1d, rng):
     x = grid1d.axis_coords
     vals = np.stack([rng.standard_normal(64), np.sin(2 * np.pi * x / grid1d.box)])
     u = Field(grid1d, vals)
-    out = inverse(apply_transport(forward(u), [gam]))
+    table = _full_symbol(grid1d, np.eye(2), [gam], with_lap3=False)
+    assert table.shape == grid1d.shape + (2, 2)
+    out = _ifft(grid1d, apply_modes(table, _fft(u)))
     k = 2 * np.pi / grid1d.box
-    assert np.abs(out.values[0] - k * np.cos(k * x)).max() < 1e-10
-    assert np.abs(out.values[1]).max() < 1e-12
+    assert np.abs(out[0] - k * np.cos(k * x)).max() < 1e-10
+    assert np.abs(out[1]).max() < 1e-12
 
 
 def test_multiplier_ops_preserve_conjugate_symmetry(rng):
     g = Grid(d=2, n=16, box=8.0)
     u = Field(g, rng.standard_normal((2, 16, 16)))
-    s = forward(u)
+    s = _fft(u)
     a = pd_diffusion(rng, 2)
     gammas = tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(2))
-    for out in (apply_laplacian_cubed(s, a), apply_transport(s, gammas)):
-        mirror = _conjugate_mirror(out.coeffs)
-        scale = np.abs(out.coeffs).max() or 1.0
-        assert np.abs(mirror.conj() - out.coeffs).max() < 1e-12 * scale
+    tables = (_full_symbol(g, a), _full_symbol(g, np.eye(2), gammas, with_lap3=False))
+    for out in (apply_modes(t, s) for t in tables):
+        mirror = _conjugate_mirror(out)
+        scale = np.abs(out).max() or 1.0
+        assert np.abs(mirror.conj() - out).max() < 1e-12 * scale
 
 
 def test_shape_mismatch_errors(grid1d, rng):
-    u = Field(grid1d, rng.standard_normal((2, 64)))
-    s = forward(u)
-    with pytest.raises(Exception):
-        apply_laplacian_cubed(s, np.eye(3))
-    with pytest.raises(Exception):
-        apply_transport(s, [np.eye(2), np.eye(2)])
+    s = _fft(Field(grid1d, rng.standard_normal((2, 64))))
+    with pytest.raises(DimensionMismatchError):
+        apply_modes(_full_symbol(grid1d, np.eye(3)), s)
+    with pytest.raises(DimensionMismatchError):
+        apply_modes(_full_symbol(grid1d, pd_diffusion(rng, 3)), s)
+    g2 = Grid(d=2, n=16, box=8.0)
+    with pytest.raises(DimensionMismatchError):
+        symbol(SystemSpec(1, 2, np.eye(2), zero_transport(1, 2)), g2.k_sixth, g2.deriv_mesh)
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8)])
+def test_symbol_half_mesh_and_diagonal_form(rng, d, n):
+    g = Grid(d=d, n=n, box=8.0)
+    ncomp, cut = 3, n // 2 + 1
+    spec = SystemSpec(d, ncomp, np.diag(rng.uniform(0.2, 2.0, ncomp)),
+                      tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d)))
+    full = symbol(spec, g.k_sixth, g.deriv_mesh)
+    half = symbol(spec, g.half_k_sixth, g.half_deriv_mesh)
+    assert full.shape == (ncomp,) + g.shape and half.shape == (ncomp,) + g.half_shape
+    assert np.array_equal(half, full[..., :cut])
+    # a folded matrix with a zero diagonal forces the matrix form, whose
+    # diagonal is the decoupled form
+    coupling = rng.uniform(-1.0, 1.0, (ncomp, ncomp))
+    np.fill_diagonal(coupling, 0.0)
+    matrix = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded=(coupling,))
+    assert matrix.shape == g.half_shape + (ncomp, ncomp)
+    assert np.array_equal(np.moveaxis(np.diagonal(matrix, axis1=-2, axis2=-1), -1, 0), half)
+    # a coupled system's matrix form is cut the same way
+    coupled = SystemSpec(d, ncomp, pd_diffusion(rng, ncomp),
+                         tuple(rng.uniform(-1.0, 1.0, (ncomp, ncomp)) for _ in range(d)))
+    full = symbol(coupled, g.k_sixth, g.deriv_mesh)
+    assert full.shape == g.shape + (ncomp, ncomp)
+    assert np.array_equal(symbol(coupled, g.half_k_sixth, g.half_deriv_mesh), full[..., :cut, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +348,7 @@ def test_propagator_rejects_negative_dt():
 def test_parseval(rng):
     g = Grid(d=2, n=16, box=8.0)
     u = Field(g, rng.standard_normal((2, 16, 16)))
-    c = forward(u).coeffs
+    c = _fft(u)
     quad = inner_product(u, u)
     spectral = (np.abs(c) ** 2).sum() * g.spacing**g.d / g.size
     assert quad == pytest.approx(spectral, rel=1e-10)

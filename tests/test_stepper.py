@@ -7,12 +7,10 @@ from trilap import (
     Grid,
     LinearReaction,
     PolynomialReaction,
-    ReactionOverflowError,
     RunConfig,
     SystemSpec,
     ZeroReaction,
     build_propagator,
-    evaluate_reaction,
     min_component_value,
     run,
 )
@@ -93,20 +91,22 @@ def test_propagator_tables_reused_per_spec_grid_and_step(build_calls, grid1d):
     assert len(calls) == 6  # tables belong to one spec object
 
 
-def test_evaluate_reaction_examples(grid1d):
-    u = Field(grid1d, np.ones((2, 64)))
-    assert np.array_equal(evaluate_reaction(u, ZeroReaction()).values, np.zeros((2, 64)))
+def test_evaluate_reaction_examples():
+    ones = np.ones((2, 64))
+    assert np.array_equal(ZeroReaction().evaluate(ones), np.zeros((2, 64)))
     lin = LinearReaction([[2.0, -1.0], [-1.0, 2.0]])
-    assert np.allclose(evaluate_reaction(u, lin).values, 1.0)
-    zero = Field(grid1d, np.zeros((1, 64)))
-    assert np.array_equal(evaluate_reaction(zero, LOGISTIC).values, np.zeros((1, 64)))
+    assert np.allclose(lin.evaluate(ones), 1.0)
+    assert np.array_equal(LOGISTIC.evaluate(np.zeros((1, 64))), np.zeros((1, 64)))
 
 
 def test_evaluate_reaction_overflow(grid1d):
     u = Field(grid1d, np.full((1, 64), 10.0))
     blowy = PolynomialReaction((((1.0, (400,)),),))
-    with pytest.raises(ReactionOverflowError):
-        evaluate_reaction(u, blowy)
+    assert not np.all(np.isfinite(blowy.evaluate(u.values)))
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), blowy)
+    ts = run(spec, u, RunConfig(t_end=0.02, dt=0.01))
+    assert ts.blown_up and ts.blowup_step == 1
+    assert np.array_equal(ts.final_state.values, u.values) and ts.final_t == 0.0
 
 
 def test_mass_conserved_without_reaction(rng):
@@ -212,9 +212,12 @@ def test_suggest_dt_respects_exp_budget(scalar_heat_spec):
 
 def test_dealias_mask_layout():
     g = Grid(d=1, n=32, box=8.0)
-    m = np.abs(np.fft.fftfreq(32) * 32)
-    assert np.array_equal(g.dealias_mask, m < 32 / 3)
-    assert g.dealias_mask[0]
+    m = np.abs(np.fft.fftfreq(32) * 32)[:17]
+    assert np.array_equal(g.half_dealias_mask, m < 32 / 3)
+    assert g.half_dealias_mask[0]
+    g2 = Grid(d=2, n=32, box=8.0)
+    full = np.abs(np.fft.fftfreq(32) * 32) < 32 / 3
+    assert np.array_equal(g2.half_dealias_mask, full[:, None] & full[None, :17])
 
 
 def test_timeseries_csv_and_state_dump(tmp_path, scalar_heat_spec):
