@@ -173,11 +173,22 @@ def _cmd_audit(args, argv) -> int:
 
 
 def _floats(text: str, flag: str) -> np.ndarray:
-    """Comma-separated numbers of a command-line flag."""
+    """Comma-separated finite numbers of a command-line flag."""
     try:
-        return np.array([float(x) for x in text.split(",")])
+        vals = np.array([float(x) for x in text.split(",")])
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        vals = None
+    if vals is None or not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{flag}: expected comma-separated finite numbers, got {text!r}")
+    return vals
+
+
+def _index(value: int, flag: str, top: int | None = None) -> int:
+    """A 1-based flag value (1..top) as a 0-based index; errors quote the flag as typed."""
+    if value < 1 or (top is not None and value > top):
+        allowed = ">= 1" if top is None else f"in 1..{top}"
+        raise ConfigError(f"{flag} must be {allowed}, got {value}")
+    return value - 1
 
 
 def _initial_data(kind: str, grid: Grid, ncomp: int, seed: int) -> Field:
@@ -275,7 +286,7 @@ def _cmd_probe(args, argv) -> int:
             f"(reference -d^3/eps^6 = {reference:.6g})"
         )
     else:
-        axis = args.axis - 1
+        axis = _index(args.axis, "--axis", grid.d)
         fld = build_transport_probe(grid, axis, args.sign, args.eps, mol)
         value = axis_derivative_at_origin(fld, axis)
         reference = -args.sign / args.eps
@@ -297,14 +308,19 @@ def _cmd_probe(args, argv) -> int:
 
 def _cmd_counterexample(args, argv) -> int:
     d = args.d
-    k, j = args.k - 1, args.j - 1
+    k, j = _index(args.k, "--k"), _index(args.j, "--j")
+    if k == j:
+        raise ConfigError(f"--k and --j must differ, got --k {args.k} --j {args.j}")
     if args.kind == "diffusion":
         kind = DiffusionViolation(k=k, j=j, a=args.a)
     elif args.kind == "transport":
-        kind = TransportViolation(k=k, j=j, axis=args.axis - 1, gamma=args.gamma)
+        axis = _index(args.axis, "--axis", d)
+        kind = TransportViolation(k=k, j=j, axis=axis, gamma=args.gamma)
     else:
         kind = ReactionViolation(k=k, j=j)
     eps_list = _floats(args.eps, "--eps").tolist()
+    if min(eps_list) <= 0:
+        raise ConfigError(f"--eps: dilation scales must be positive, got {args.eps!r}")
     if d == 1:
         n = args.n if args.n is not None else 512
         grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)

@@ -86,7 +86,10 @@ def as_square_matrix(entries, side: int | None = None, name: str = "matrix") -> 
         m = np.array(entries)
     except ValueError:  # ragged rows
         m = None
-    if m is None or m.dtype.kind not in "iuf":
+    # numpy reads booleans mixed with numbers as 0/1; they are rejected like all-boolean rows
+    if m is None or m.dtype.kind not in "iuf" or any(
+        isinstance(x, (bool, np.bool_)) for x in np.array(entries, dtype=object).flat
+    ):
         raise ConfigError(f"field '{name}': expected a square matrix of real numbers, got {entries!r}")
     m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -153,10 +156,12 @@ class Grid:
         k[self.n // 2] = 0.0  # unmatched Nyquist mode: odd-derivative multiplier zero
         return _readonly(k)
 
-    @cached_property
+    @property
     def coord_mesh(self) -> tuple[np.ndarray, ...]:
+        """Axis coordinates shaped to broadcast against each other, one per axis."""
         return tuple(
-            _readonly(m) for m in np.meshgrid(*(self.axis_coords,) * self.d, indexing="ij")
+            self.axis_coords.reshape((1,) * i + (-1,) + (1,) * (self.d - 1 - i))
+            for i in range(self.d)
         )
 
     @property
@@ -175,13 +180,9 @@ class Grid:
         return sum(m**2 for m in self._spectral_meshes(self.wavenumbers, half))
 
     @cached_property
-    def k_squared(self) -> np.ndarray:
-        return _readonly(self._k_squared(half=False))
-
-    @cached_property
     def k_sixth(self) -> np.ndarray:
         # |xi|^6 as (|xi|^2)^3, matching lap^3 = (lap)^3 composition
-        return _readonly(self.k_squared**3)
+        return _readonly(self._k_squared(half=False) ** 3)
 
     @cached_property
     def half_k_sixth(self) -> np.ndarray:
@@ -500,9 +501,13 @@ def _as_number(value, name: str, integer: bool):
     """value as an int (integer=True, integral values only) or a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"field '{name}': expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"field '{name}': number beyond floating-point range")
     if not integer:
-        return float(value)
-    if not (math.isfinite(value) and value == int(value)):
+        return x
+    if not (math.isfinite(x) and value == int(value)):
         raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
     return int(value)
 

@@ -62,6 +62,8 @@ class SignSampler:
     def __post_init__(self):
         if self.samples_per_component < 1:
             raise ConfigError("samples_per_component must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.magnitude_scales or any(s <= 0 for s in self.magnitude_scales):
             raise ConfigError("magnitude scales must be positive")
 
@@ -84,29 +86,29 @@ class SignSampler:
         return np.vstack([np.atleast_2d(p) for p in pts])
 
 
+def _offdiag(matrix, matrix_id: str, rule: str, flagged) -> list[Violation]:
+    """Off-diagonal entries v of the matrix with flagged(v), in row-major order."""
+    m = as_square_matrix(matrix, name=matrix_id)
+    n = m.shape[0]
+    return [
+        Violation(rule, {"matrix": matrix_id, "row": k, "col": j}, float(m[k, j]))
+        for k in range(n)
+        for j in range(n)
+        if k != j and flagged(m[k, j])
+    ]
+
+
 def check_assumption_offdiag_nonneg(diffusion) -> list[Violation]:
     """Premise check: every off-diagonal diffusion entry with a negative value."""
-    m = as_square_matrix(diffusion, name="A")
-    out = []
-    for k in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if k != j and m[k, j] < 0.0:
-                out.append(Violation(RULE_ASSUMPTION, {"matrix": "A", "row": k, "col": j}, float(m[k, j])))
-    return out
+    return _offdiag(diffusion, "A", RULE_ASSUMPTION, lambda v: v < 0.0)
 
 
 def check_diagonality(matrix, tol: float = 0.0, matrix_id: str = "A") -> list[Violation]:
     """Every off-diagonal entry exceeding tol in magnitude (default: exact zero)."""
-    if tol < 0:
-        raise ConfigError("tol must be >= 0")
-    m = as_square_matrix(matrix, name=matrix_id)
+    if not tol >= 0:  # also rejects NaN, which no entry would ever exceed
+        raise ConfigError(f"tol must be >= 0, got {tol}")
     rule = RULE_DIAG_A if matrix_id == "A" else RULE_DIAG_GAMMA
-    out = []
-    for k in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if k != j and abs(m[k, j]) > tol:
-                out.append(Violation(rule, {"matrix": matrix_id, "row": k, "col": j}, float(m[k, j])))
-    return out
+    return _offdiag(matrix, matrix_id, rule, lambda v: abs(v) > tol)
 
 
 def check_reaction_boundary_sign(
@@ -136,13 +138,7 @@ def check_reaction_boundary_sign(
 
 def check_essentially_nonpositive(matrix) -> list[Violation]:
     """Every strictly positive off-diagonal entry of a linear-reaction matrix."""
-    m = as_square_matrix(matrix, name="L")
-    out = []
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if i != j and m[i, j] > 0.0:
-                out.append(Violation(RULE_ESSENTIAL, {"matrix": "L", "row": i, "col": j}, float(m[i, j])))
-    return out
+    return _offdiag(matrix, "L", RULE_ESSENTIAL, lambda v: v > 0.0)
 
 
 def audit(spec: SystemSpec, sampler: SignSampler | None = None, tol: float = 0.0) -> AuditReport:

@@ -123,14 +123,6 @@ def gaussian_ramp(r, center: float, sigma: float):
     return 0.5 * erfc((r - center) / (math.sqrt(2) * sigma))
 
 
-def _axes_for_broadcast(grid: Grid) -> list[np.ndarray]:
-    """Axis coordinates shaped for broadcasting; avoids full meshgrids at 256^3."""
-    ax = grid.axis_coords
-    return [
-        ax.reshape((1,) * i + (-1,) + (1,) * (grid.d - 1 - i)) for i in range(grid.d)
-    ]
-
-
 def diffusion_probe_mollifier(d: int, eps: float = 1.0) -> Mollifier:
     """Radii giving the diffusion probe clean blends on the default grids."""
     return Mollifier(0.15 * eps * LN2 / d, (1.3 if d == 1 else 0.9) * eps)
@@ -191,7 +183,7 @@ def build_diffusion_probe(grid: Grid, eps: float, mollifier: Mollifier | None = 
             "r0 and the formula's zero sphere"
         )
 
-    axes = _axes_for_broadcast(grid)
+    axes = grid.coord_mesh
     r = np.sqrt(sum(x * x for x in axes))
     arg = sum(axes) / eps
     np.minimum(arg, 50.0, out=arg)
@@ -224,7 +216,7 @@ def build_transport_probe(
         raise ProbeConstructionError(
             f"exp(r1/eps) = exp({mol.r1 / eps:.3g}) would overflow; widen eps or shrink r1"
         )
-    axes = _axes_for_broadcast(grid)
+    axes = grid.coord_mesh
     r = np.sqrt(sum(x * x for x in axes))
     width = (mol.r0 + mol.r1) / 4.0
     transverse = sum(axes[i] ** 2 for i in range(grid.d) if i != axis)
@@ -266,40 +258,39 @@ def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
 # violation experiments
 
 
-def _check_pair(k: int, j: int) -> None:
-    if k == j or min(k, j) < 0:
-        raise ConfigError(f"need distinct component indices >= 0, got k={k}, j={j}")
+def _identity_system(d: int, ncomp: int, reaction: Reaction = ZeroReaction(),
+                     diffusion=None, transport=None) -> SystemSpec:
+    """SystemSpec with identity diffusion and zero transport unless given."""
+    if diffusion is None:
+        diffusion = np.eye(ncomp)
+    if transport is None:
+        transport = tuple(np.zeros((ncomp, ncomp)) for _ in range(d))
+    return SystemSpec(d, ncomp, diffusion, transport, reaction)
 
 
 @dataclass(frozen=True)
-class DiffusionViolation:
-    """Off-diagonal diffusion coupling a = D[k, j] > 0 (premise-compatible)."""
+class _ViolationKind:
+    """One forbidden coupling from component j into component k (0-based).
+
+    The repaired system drops the coupling: identity diffusion, zero
+    transport, zero reaction.  Probes default to the diffusion probe.
+    """
 
     k: int = 0
     j: int = 1
-    a: float = 1.0
-
-    label = "diffusion"
-    expected_slope = -6.0
 
     def __post_init__(self):
-        _check_pair(self.k, self.j)
-        if self.a <= 0:
-            raise ConfigError("need a > 0 so the coupling is premise-compatible")
+        if self.k == self.j or min(self.k, self.j) < 0:
+            raise ConfigError(
+                f"need distinct component indices >= 0, got k={self.k}, j={self.j}"
+            )
 
     @property
     def ncomp(self) -> int:
         return max(self.k, self.j) + 1
 
-    def system(self, d: int) -> SystemSpec:
-        diff = np.eye(self.ncomp)
-        diff[self.k, self.j] = self.a
-        return SystemSpec(d, self.ncomp, diff, tuple(np.zeros((self.ncomp,) * 2) for _ in range(d)))
-
     def repaired_system(self, d: int) -> SystemSpec:
-        return SystemSpec(
-            d, self.ncomp, np.eye(self.ncomp), tuple(np.zeros((self.ncomp,) * 2) for _ in range(d))
-        )
+        return _identity_system(d, self.ncomp)
 
     def probe(self, grid: Grid, eps: float, mollifier: Mollifier) -> Field:
         return build_diffusion_probe(grid, eps, mollifier)
@@ -308,16 +299,34 @@ class DiffusionViolation:
         # small r0: the dilated eps datapoints need the widest inner ramp available
         return Mollifier(0.05 * LN2 / d, 1.3 if d == 1 else 0.9)
 
+
+@dataclass(frozen=True)
+class DiffusionViolation(_ViolationKind):
+    """Off-diagonal diffusion coupling a = D[k, j] > 0 (premise-compatible)."""
+
+    a: float = 1.0
+
+    label = "diffusion"
+    expected_slope = -6.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a <= 0:
+            raise ConfigError("need a > 0 so the coupling is premise-compatible")
+
+    def system(self, d: int) -> SystemSpec:
+        diff = np.eye(self.ncomp)
+        diff[self.k, self.j] = self.a
+        return _identity_system(d, self.ncomp, diffusion=diff)
+
     def params(self) -> dict:
         return {"k": self.k, "j": self.j, "a": self.a}
 
 
 @dataclass(frozen=True)
-class TransportViolation:
+class TransportViolation(_ViolationKind):
     """Off-diagonal transport coupling g = T[axis][k, j] != 0."""
 
-    k: int = 0
-    j: int = 1
     axis: int = 0
     gamma: float = 1.0
 
@@ -325,25 +334,16 @@ class TransportViolation:
     expected_slope = -1.0
 
     def __post_init__(self):
-        _check_pair(self.k, self.j)
+        super().__post_init__()
         if self.gamma == 0:
             raise ConfigError("need a nonzero coupling")
-
-    @property
-    def ncomp(self) -> int:
-        return max(self.k, self.j) + 1
 
     def system(self, d: int) -> SystemSpec:
         if not 0 <= self.axis < d:
             raise ConfigError(f"transport axis {self.axis} out of range for d={d}")
         gammas = [np.zeros((self.ncomp,) * 2) for _ in range(d)]
         gammas[self.axis][self.k, self.j] = self.gamma
-        return SystemSpec(d, self.ncomp, np.eye(self.ncomp), tuple(gammas))
-
-    def repaired_system(self, d: int) -> SystemSpec:
-        return SystemSpec(
-            d, self.ncomp, np.eye(self.ncomp), tuple(np.zeros((self.ncomp,) * 2) for _ in range(d))
-        )
+        return _identity_system(d, self.ncomp, transport=tuple(gammas))
 
     def probe(self, grid: Grid, eps: float, mollifier: Mollifier) -> Field:
         sign = 1 if self.gamma > 0 else -1
@@ -357,18 +357,16 @@ class TransportViolation:
 
 
 @dataclass(frozen=True)
-class ReactionViolation:
+class ReactionViolation(_ViolationKind):
     """Boundary-sign-violating reaction, default F_k(u) = u_j on the face u_k = 0."""
 
-    k: int = 0
-    j: int = 1
     reaction: Reaction | None = None
 
     label = "reaction"
     expected_slope = 0.0
 
     def __post_init__(self):
-        _check_pair(self.k, self.j)
+        super().__post_init__()
         if self.reaction is None:
             terms = []
             for c in range(self.ncomp):
@@ -380,23 +378,8 @@ class ReactionViolation:
                     terms.append(())
             object.__setattr__(self, "reaction", PolynomialReaction(tuple(terms)))
 
-    @property
-    def ncomp(self) -> int:
-        return max(self.k, self.j) + 1
-
     def system(self, d: int) -> SystemSpec:
-        zero = tuple(np.zeros((self.ncomp,) * 2) for _ in range(d))
-        return SystemSpec(d, self.ncomp, np.eye(self.ncomp), zero, self.reaction)
-
-    def repaired_system(self, d: int) -> SystemSpec:
-        zero = tuple(np.zeros((self.ncomp,) * 2) for _ in range(d))
-        return SystemSpec(d, self.ncomp, np.eye(self.ncomp), zero, ZeroReaction())
-
-    def probe(self, grid: Grid, eps: float, mollifier: Mollifier) -> Field:
-        return build_diffusion_probe(grid, eps, mollifier)
-
-    def base_mollifier(self, d: int) -> Mollifier:
-        return Mollifier(0.05 * LN2 / d, 1.3 if d == 1 else 0.9)
+        return _identity_system(d, self.ncomp, self.reaction)
 
     def params(self) -> dict:
         return {"k": self.k, "j": self.j}
@@ -577,9 +560,7 @@ def ode_reduction_check(
         raise ConfigError("u0_const must be componentwise nonnegative")
     ncomp = y0.shape[0]
     grid = grid if grid is not None else Grid(d=1, n=8, box=32.0)
-    spec = SystemSpec(
-        grid.d, ncomp, np.eye(ncomp), tuple(np.zeros((ncomp,) * 2) for _ in range(grid.d)), reaction
-    )
+    spec = _identity_system(grid.d, ncomp, reaction)
     u0 = Field(grid, np.broadcast_to(y0.reshape((ncomp,) + (1,) * grid.d), (ncomp,) + grid.shape))
     ts = run(spec, u0, RunConfig(t_end=t_end, dt=dt, output_stride=1))
     ode = rk4_ode(reaction, y0, t_end, dt)

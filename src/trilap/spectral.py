@@ -4,11 +4,12 @@ The linear part of the system has the per-mode symbol
 
     M(xi) = -|xi|^6 * D + i * sum_j xi_j * T[j]          (N x N, complex)
 
-minus L when a linear reaction is folded in.  `symbol` is the one place it
-is assembled.  It takes the |xi|^6 and first-derivative meshes as
-arguments, so it serves both spectral layouts: the real half spectrum
-(np.fft.rfftn, Grid.half_* meshes) that the stepper carries, and the full
-complex DFT (np.fft.fftn, Grid.k_sixth / deriv_mesh) of the initial rate.
+minus L when the reaction is linear (F = L u), which the propagators fold
+in.  `symbol` is the one place it is assembled.  It takes the |xi|^6 and
+first-derivative meshes as arguments, so it serves both spectral layouts:
+the real half spectrum (np.fft.rfftn, Grid.half_* meshes) that the stepper
+carries, and the full complex DFT (np.fft.fftn, Grid.k_sixth / deriv_mesh)
+of the initial rate.
 When D, every T[j] and any folded L are diagonal (the systems that pass the
 audit) each mode splits into N scalar symbols, stored (N, *mesh);
 otherwise there is one N x N matrix per mode, stored (*mesh, N, N).
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, Grid, SystemSpec
+from .core import DimensionMismatchError, Grid, LinearReaction, SystemSpec
 
 __all__ = [
     "ModePropagator",
@@ -162,9 +163,6 @@ class ModePropagator:
     """
 
     grid: Grid
-    ncomp: int
-    dt: float
-    include_linear_reaction: bool
     exps: np.ndarray
 
     @property
@@ -172,18 +170,15 @@ class ModePropagator:
         return self.exps.ndim == self.grid.d + 1
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Advance stacked half spectra (ncomp, *half_shape) by one step."""
+        """Advance stacked half spectra (N, *half_shape) by one step."""
         return apply_modes(self.exps, coeffs)
 
 
-def build_propagator(
-    spec: SystemSpec,
-    grid: Grid,
-    dt: float,
-    include_linear_reaction: bool = False,
-) -> ModePropagator:
-    """Precompute exp(dt*M(xi)) for every half-spectrum mode (minus L folded in if flagged).
+def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
+    """Precompute exp(dt*M(xi)) for every half-spectrum mode.
 
+    A linear reaction F = L u is part of the linear flow, so L is folded
+    in (M - L); zero and polynomial reactions are left to the caller.
     dt = 0 yields the identity on every mode.  Raises
     PropagatorOverflowError if any exponential entry is non-finite, which
     signals dt * |xi|^6 beyond floating-point range.
@@ -192,13 +187,7 @@ def build_propagator(
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    folded = ()
-    if include_linear_reaction:
-        kind = spec.reaction.kind
-        if kind == "linear":
-            folded = (spec.reaction.matrix,)
-        elif kind != "zero":
-            raise ValueError("include_linear_reaction requires a zero or linear reaction")
+    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
     m = symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
     if m.ndim == grid.d + 1:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -210,10 +199,4 @@ def build_propagator(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"
         )
     exps.setflags(write=False)
-    return ModePropagator(
-        grid=grid,
-        ncomp=spec.ncomp,
-        dt=float(dt),
-        include_linear_reaction=include_linear_reaction,
-        exps=exps,
-    )
+    return ModePropagator(grid=grid, exps=exps)

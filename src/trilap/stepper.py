@@ -57,7 +57,7 @@ EXP_RANGE_BUDGET = 700.0
 
 CSV_HEADER = "t,component,min,argmin_index,mass,l2norm"
 
-# propagator tables per live spec, keyed (grid, dt, fold); the entries are
+# propagator tables per live spec, keyed (grid, dt); the entries are
 # dropped with their spec, and an IF-RK4 run needs two tables
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _TABLES_PER_SPEC = 2
@@ -82,10 +82,10 @@ class RunConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.t_end):
-            raise ConfigError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        if not (0 < self.dt <= self.t_end < math.inf):
+            raise ConfigError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ConfigError(f"t_end/dt = {steps} does not round to an integer step count")
         if self.output_stride < 1:
             raise ConfigError(f"output_stride must be >= 1, got {self.output_stride}")
@@ -137,13 +137,6 @@ class TimeSeries:
             ncomp=self.final_state.ncomp,
         )
 
-    def component_minima(self, k: int) -> np.ndarray:
-        return self.diagnostics[:, k, 0]
-
-    def first_negative_time(self, k: int) -> float | None:
-        neg = np.nonzero(self.diagnostics[:, k, 0] < 0.0)[0]
-        return float(self.times[neg[0]]) if neg.size else None
-
 
 def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     """Largest dt dividing t_end with max|xi|^6 * dt * ||D||_2 <= 700.
@@ -152,22 +145,22 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     floating-point range rather than accuracy; polynomial reactions may
     need a smaller dt for the RK4 stages.
     """
-    if t_end <= 0:
-        raise ConfigError(f"t_end must be positive, got {t_end}")
-    cap = EXP_RANGE_BUDGET / (grid.k_sixth.max() * np.linalg.norm(spec.diffusion, 2))
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+    cap = EXP_RANGE_BUDGET / (grid.half_k_sixth.max() * np.linalg.norm(spec.diffusion, 2))
     steps = max(1, math.ceil(t_end / min(cap, t_end)))
     return t_end / steps
 
 
-def _propagator(spec: SystemSpec, grid: Grid, dt: float, fold: bool) -> ModePropagator:
+def _propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     """build_propagator, reusing the table of an identical earlier call on this spec."""
-    key = (grid, dt, fold)
+    key = (grid, dt)
     with _TABLES_LOCK:
         tables = _TABLES.setdefault(spec, {})
         if key not in tables:
             if len(tables) >= _TABLES_PER_SPEC:
                 del tables[next(iter(tables))]
-            tables[key] = build_propagator(spec, grid, dt, include_linear_reaction=fold)
+            tables[key] = build_propagator(spec, grid, dt)
         return tables[key]
 
 
@@ -194,20 +187,19 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         )
     axes = tuple(range(1, grid.d + 1))
     dt = rc.dt
-    kind = spec.reaction.kind
 
     def to_values(c: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(c, s=grid.shape, axes=axes)
 
-    if kind in ("zero", "linear"):
-        prop = _propagator(spec, grid, dt, fold=(kind == "linear"))
+    if spec.reaction.kind in ("zero", "linear"):
+        prop = _propagator(spec, grid, dt)
 
         def advance(c: np.ndarray, step: int) -> np.ndarray:
             return prop.apply(c)
 
     else:
-        full = _propagator(spec, grid, dt, fold=False)
-        half = _propagator(spec, grid, dt / 2.0, fold=False)
+        full = _propagator(spec, grid, dt)
+        half = _propagator(spec, grid, dt / 2.0)
         mask = grid.half_dealias_mask if rc.dealias else None
         react = spec.reaction
 

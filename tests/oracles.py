@@ -3,8 +3,8 @@
 import numpy as np
 
 
-def mode_exponential_step(spec, grid, values, dt, include_linear_reaction):
-    """One exact linear step via per-mode eigendecomposition.
+def mode_exponential_step(spec, grid, values, dt):
+    """One exact linear step via per-mode eigendecomposition, L folded in if linear.
 
     Rebuilds the symbol from first principles (numpy fftfreq, Nyquist
     zeroed for first derivatives) and exponentiates by diagonalisation,
@@ -20,7 +20,7 @@ def mode_exponential_step(spec, grid, values, dt, include_linear_reaction):
     symbol = -k6.reshape(-1, 1, 1) * np.asarray(spec.diffusion)[None].astype(complex)
     for dm, g in zip(dmesh, spec.transport):
         symbol = symbol + 1j * dm.reshape(-1, 1, 1) * np.asarray(g)[None]
-    if include_linear_reaction:
+    if spec.reaction.kind == "linear":
         symbol = symbol - np.asarray(spec.reaction.matrix)[None]
     w, v = np.linalg.eig(dt * symbol)
     expd = v @ (np.exp(w)[..., None] * np.linalg.inv(v))

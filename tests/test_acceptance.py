@@ -129,7 +129,7 @@ def test_criterion_5_linear_oracle_equivalence():
         u0 = Field(grid, rng.standard_normal((ncomp,) + grid.shape))
         dt = 2e-6
         ts = run(spec, u0, RunConfig(t_end=dt, dt=dt))
-        oracle = mode_exponential_step(spec, grid, u0.values, dt, linear)
+        oracle = mode_exponential_step(spec, grid, u0.values, dt)
         worst = max(worst, float(np.abs(ts.final_state.values - oracle).max()))
     _report(5, worst < 1e-10, f"50 systems, worst one-step deviation {worst:.2e} (< 1e-10)")
 

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trilap.cli import main
 
@@ -144,6 +150,15 @@ def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
         [{"coeff": 1.0, "exponents": ["x", 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
     ("audit", {"reaction": {"kind": "polynomial", "terms": [
         [{"coeff": 1.0, "exponents": [1.5, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
+    # integers beyond floating-point range
+    ("audit", {"d": 10**400}, "'d'"),
+    ("audit", {"N": 10**400}, "'N'"),
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 10**400, "exponents": [1, 0]}], []]}}, "'reaction.terms[0][0].coeff'"),
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 1.0, "exponents": [10**400, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
+    # a boolean among numbers would load as 1.0
+    ("audit", {"A": [[True, 0.0], [0.0, 1.0]]}, "'A'"),
 ])
 def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch, field):
     cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | patch
@@ -171,12 +186,32 @@ def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch,
     ["simulate", "{config}", "--t-end", "0.1", "--u0", "constant:x"],
     ["ode-check", "{config}", "--u0", "x"],
     ["ode-check", "{config}", "--u0", "-1"],
+    ["audit", "{config}", "--tol", "nan"],
+    ["audit", "{config}", "--seed", "-1"],
+    ["simulate", "{config}", "--t-end", "nan"],
+    ["simulate", "{config}", "--t-end", "inf"],
+    ["ode-check", "{config}", "--t-end", "inf"],
+    ["counterexample", "--kind", "diffusion", "--eps", "nan"],
+    ["counterexample", "--kind", "diffusion", "--eps=1,0"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")
     args = [a.format(config=config) for a in argv] + ["--out", str(tmp_path)]
     code, _, err = run_cli(args, capsys)
     assert code == 4, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["counterexample", "--kind", "reaction", "--k", "2", "--j", "2"], "--k 2 --j 2"),
+    (["counterexample", "--kind", "diffusion", "--j", "0"], "--j must be >= 1, got 0"),
+    (["probe", "--kind", "transport", "--d", "1", "--axis", "0"], "--axis must be in 1..1, got 0"),
+    (["counterexample", "--kind", "transport", "--d", "2", "--axis", "3"],
+     "--axis must be in 1..2, got 3"),
+])
+def test_index_errors_quote_the_one_based_flag(tmp_path, capsys, argv, message):
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert message in err
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -235,3 +270,55 @@ def test_ode_check_logistic(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["max_deviation"] <= 1e-8
     assert (tmp_path / "ode_check.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: `trilap audit` on configs with arbitrary JSON in place of any field
+
+# values that sit on a parser's boundaries, then arbitrary JSON
+JSON_LEAVES = (
+    st.sampled_from([10**400, -10**400, 2**64, -1, 0, 1.5, float("nan"), float("inf"),
+                     -float("inf"), True, False, None, "1", [], {}])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, the root included (as the empty path)."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = copy.copy(node)
+    node[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return node
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
+    mutations=st.lists(st.tuples(st.integers(min_value=0), JSON_VALUES), min_size=1, max_size=3),
+)
+def test_audit_fuzz_never_raises_or_exits_5(name, mutations):
+    cfg = json.loads((CONFIGS / name).read_text())
+    for pick, value in mutations:
+        paths = list(_paths(cfg))[1:]  # the root stays an object
+        cfg = _replaced(cfg, paths[pick % len(paths)], value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["audit", str(path), "--samples", "8", "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4), err.getvalue()

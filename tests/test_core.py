@@ -282,6 +282,18 @@ def test_arrays_are_readonly(grid1d):
         spec.diffusion[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coord_mesh_is_broadcastable_axes(d):
+    g = Grid(d=d, n=8, box=4.0)
+    axes = g.coord_mesh
+    assert [x.shape for x in axes] == [(1,) * i + (8,) + (1,) * (d - 1 - i) for i in range(d)]
+    assert not any(x.flags.writeable for x in axes)
+    dense = np.meshgrid(*(g.axis_coords,) * d, indexing="ij")
+    for x, m in zip(np.broadcast_arrays(*axes), dense):
+        assert np.array_equal(x, m)
+        assert m[g.origin_index] == 0.0
+
+
 def test_reaction_evaluations():
     zero = ZeroReaction()
     assert np.array_equal(zero.evaluate(np.ones((2, 4))), np.zeros((2, 4)))

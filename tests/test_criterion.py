@@ -51,6 +51,8 @@ def test_diagonality_examples():
     assert len(rot) == 2 and all(x.rule == "diag-Gamma" for x in rot)
     with pytest.raises(ValueError):
         check_diagonality(np.eye(2), tol=-1.0)
+    with pytest.raises(ValueError):
+        check_diagonality([[1.0, 1e-3], [0.0, 1.0]], tol=float("nan"))
 
 
 def test_boundary_sign_zero_reaction_clean():

@@ -10,6 +10,7 @@ from trilap import (
     PolynomialReaction,
     PropagatorOverflowError,
     SystemSpec,
+    ZeroReaction,
     apply_modes,
     build_propagator,
     inner_product,
@@ -269,9 +270,10 @@ def test_decoupled_propagator_matches_matrix_exp(rng, d, n, fold):
     diff = np.diag(rng.uniform(0.2, 2.0, ncomp))
     gammas = tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d))
     lin = np.diag(rng.uniform(-1.0, 1.0, ncomp))
-    spec = SystemSpec(d, ncomp, diff, gammas, LinearReaction(lin))
+    # a linear reaction is folded into the propagator, a zero one is not
+    spec = SystemSpec(d, ncomp, diff, gammas, LinearReaction(lin) if fold else ZeroReaction())
     dt = 2e-3
-    prop = build_propagator(spec, g, dt, include_linear_reaction=fold)
+    prop = build_propagator(spec, g, dt)
     assert prop.decoupled
     symbol = -_half(g, g.k_sixth)[..., None, None] * diff.astype(complex)
     for axis, gam in enumerate(gammas):
@@ -287,8 +289,9 @@ def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
     lin = np.array([[1.0, 0.5], [0.0, 1.0]])
     spec = SystemSpec(2, 2, np.diag([1.0, 2.0]), (np.diag([0.5, -0.5]), np.eye(2)),
                       LinearReaction(lin))
-    assert build_propagator(spec, g, 0.01).decoupled
-    folded = build_propagator(spec, g, 0.01, include_linear_reaction=True)
+    twin = SystemSpec(2, 2, spec.diffusion, spec.transport, ZeroReaction())
+    assert build_propagator(twin, g, 0.01).decoupled
+    folded = build_propagator(spec, g, 0.01)
     assert not folded.decoupled
     assert folded.exps.shape == g.half_shape + (2, 2)
     assert np.abs(folded.exps[..., 0, 1]).max() > 0.0
@@ -315,27 +318,29 @@ def test_propagator_spectral_radius_bound(rng):
 def test_propagator_folds_linear_reaction():
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[2.0]]))
+    twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), ZeroReaction())
     dt = 0.1
-    plain = build_propagator(spec, g, dt)
-    folded = build_propagator(spec, g, dt, include_linear_reaction=True)
+    plain = build_propagator(twin, g, dt)
+    folded = build_propagator(spec, g, dt)
     # scalar symbol commutes, so folding L multiplies every mode by exp(-L dt)
     want = plain.exps[0] * np.exp(-2.0 * dt)
     assert np.abs(folded.exps[0] - want).max() < 1e-12
 
 
-def test_propagator_rejects_polynomial_fold():
+def test_propagator_leaves_polynomial_reaction_out():
+    # only a linear reaction belongs to the linear flow; IF-RK4 handles the rest
     g = Grid(d=1, n=16, box=8.0)
-    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1),
-                      PolynomialReaction((((1.0, (2,)),),)))
-    with pytest.raises(ValueError):
-        build_propagator(spec, g, 0.1, include_linear_reaction=True)
+    spec = SystemSpec(1, 1, [[1.0]], ([[0.3]],), PolynomialReaction((((1.0, (2,)),),)))
+    twin = SystemSpec(1, 1, [[1.0]], ([[0.3]],), ZeroReaction())
+    exps, twin_exps = build_propagator(spec, g, 0.1).exps, build_propagator(twin, g, 0.1).exps
+    assert exps.dtype == twin_exps.dtype and np.array_equal(exps, twin_exps)
 
 
 def test_propagator_overflow_detected():
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-800.0]]))
     with pytest.raises(PropagatorOverflowError):
-        build_propagator(spec, g, 1.0, include_linear_reaction=True)
+        build_propagator(spec, g, 1.0)
 
 
 def test_propagator_rejects_negative_dt():

@@ -55,7 +55,7 @@ def test_linear_step_matches_eigendecomposition_oracle(rng):
     u0 = Field(grid, rng.standard_normal((2, 64)))
     dt = 1e-4
     ts = run(spec, u0, RunConfig(t_end=dt, dt=dt))
-    oracle = mode_exponential_step(spec, grid, u0.values, dt, include_linear_reaction=True)
+    oracle = mode_exponential_step(spec, grid, u0.values, dt)
     assert np.abs(ts.final_state.values - oracle).max() < 1e-10
 
 
@@ -70,7 +70,7 @@ def test_coupled_run_matches_full_complex_oracle(rng, d, n):
     u0 = Field(grid, rng.standard_normal((2,) + grid.shape) + np.stack([nyquist, -nyquist]))
     dt = 1e-4
     ts = run(spec, u0, RunConfig(t_end=dt, dt=dt))
-    oracle = mode_exponential_step(spec, grid, u0.values, dt, include_linear_reaction=True)
+    oracle = mode_exponential_step(spec, grid, u0.values, dt)
     assert np.abs(ts.final_state.values - oracle).max() < 1e-10
 
 
