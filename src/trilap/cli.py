@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -312,9 +313,13 @@ def _cmd_counterexample(args, argv) -> int:
     if k == j:
         raise ConfigError(f"--k and --j must differ, got --k {args.k} --j {args.j}")
     if args.kind == "diffusion":
+        if not (math.isfinite(args.a) and args.a > 0):
+            raise ConfigError(f"--a must be finite and > 0, got {args.a:g}")
         kind = DiffusionViolation(k=k, j=j, a=args.a)
     elif args.kind == "transport":
         axis = _index(args.axis, "--axis", d)
+        if not (math.isfinite(args.gamma) and args.gamma != 0):
+            raise ConfigError(f"--gamma must be finite and nonzero, got {args.gamma:g}")
         kind = TransportViolation(k=k, j=j, axis=axis, gamma=args.gamma)
     else:
         kind = ReactionViolation(k=k, j=j)

@@ -369,15 +369,18 @@ class SystemSpec:
             for i, g in enumerate(gammas)
         )
         self.reaction.validate(self.ncomp)
-        sym_min = float(np.linalg.eigvalsh((diff + diff.T) / 2.0).min())
-        if sym_min <= 0.0:
-            raise PositivityError(sym_min)
         object.__setattr__(self, "diffusion", diff)
         object.__setattr__(self, "transport", gammas)
+        sym_min = self.symmetrized_min_eigenvalue
+        if not sym_min > 0.0:
+            raise PositivityError(sym_min)
 
-    @property
+    @cached_property
     def symmetrized_min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.diffusion + self.diffusion.T) / 2.0).min())
+        """Smallest eigenvalue of (D + D^T)/2; NaN when any eigenvalue is not finite."""
+        # halving first keeps the symmetric part finite for every finite D
+        eigs = np.linalg.eigvalsh(self.diffusion / 2.0 + self.diffusion.T / 2.0)
+        return float(eigs.min()) if np.all(np.isfinite(eigs)) else math.nan
 
 
 @dataclass(frozen=True)

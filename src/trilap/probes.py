@@ -244,14 +244,22 @@ def axis_derivative_at_origin(u: Field, axis: int, component: int = 0) -> float:
     return _at_origin(u, component, 1j * u.grid.half_deriv_mesh[axis])
 
 
-def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
-    """Right-hand side at t = 0: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0)."""
+def _rate_symbol(spec: SystemSpec, grid: Grid) -> np.ndarray:
+    # full layout on purpose: rfftn moves this |xi|^6-amplified rate by 2e-4 relative (d=2, n=256)
+    return symbol(spec, grid.k_sixth, grid.deriv_mesh)
+
+
+def _initial_rate(spec: SystemSpec, m: np.ndarray, u0: Field) -> Field:
+    """initial_rate_field with the symbol `m` of `_rate_symbol` already built."""
     grid = u0.grid
     axes = tuple(range(1, grid.d + 1))
-    # full layout on purpose: rfftn moves this |xi|^6-amplified rate by 2e-4 relative (d=2, n=256)
-    m = symbol(spec, grid.k_sixth, grid.deriv_mesh)
     lin = np.fft.ifftn(apply_modes(m, np.fft.fftn(u0.values, axes=axes)), axes=axes).real
     return Field(grid, lin - spec.reaction.evaluate(u0.values))
+
+
+def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
+    """Right-hand side at t = 0: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0)."""
+    return _initial_rate(spec, _rate_symbol(spec, u0.grid), u0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +319,10 @@ class DiffusionViolation(_ViolationKind):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.a <= 0:
-            raise ConfigError("need a > 0 so the coupling is premise-compatible")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ConfigError(
+                f"need a finite a > 0 so the coupling is premise-compatible, got a={self.a}"
+            )
 
     def system(self, d: int) -> SystemSpec:
         diff = np.eye(self.ncomp)
@@ -335,8 +345,8 @@ class TransportViolation(_ViolationKind):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gamma == 0:
-            raise ConfigError("need a nonzero coupling")
+        if not (math.isfinite(self.gamma) and self.gamma != 0):
+            raise ConfigError(f"need a finite nonzero coupling, got gamma={self.gamma}")
 
     def system(self, d: int) -> SystemSpec:
         if not 0 <= self.axis < d:
@@ -451,6 +461,7 @@ def run_violation_experiment(
         t_probe = default_t_probe(spec, grid)
     substeps = 1 if spec.reaction.kind in ("zero", "linear") else reaction_substeps
     rc = RunConfig(t_end=t_probe, dt=t_probe / substeps, output_stride=substeps)
+    m = _rate_symbol(spec, grid)
 
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:
@@ -459,7 +470,7 @@ def run_violation_experiment(
             u0_vals = np.zeros((spec.ncomp,) + grid.shape)
             u0_vals[kind.j] = probe.values[0]
             u0 = Field(grid, u0_vals)
-            rate = initial_rate_field(spec, u0)
+            rate = _initial_rate(spec, m, u0)
             rate_origin = float(rate.values[(kind.k,) + grid.origin_index])
             ts = run(spec, u0, rc)
             if ts.blown_up:

@@ -19,8 +19,15 @@ Advancing the linear flow by dt multiplies each retained Fourier
 coefficient vector by exp(dt * M(xi)).  Propagators live on the half
 spectrum: real fields are conjugate symmetric, so the other half carries no
 information.  Diagonal symbols exponentiate elementwise; coupled ones get
-an N x N exponential per mode by scaling-and-squaring (diagonal Pade of
-order 13, Higham's theta_13 switchover), evaluated batched over modes.
+an N x N exponential by scaling-and-squaring (diagonal Pade of order 13,
+Higham's theta_13 switchover), evaluated batched over the distinct symbols
+only.  M(xi) depends on xi only through |xi|^6 and the xi_j of axes with a
+nonzero T[j], so modes whose values of those inputs agree bit for bit have
+equal symbols: each distinct one is exponentiated once and the table is
+gathered from the results, equal to exponentiating every mode.  The key is
+the bytes of those float values, never an integer |m|^2: one |m|^2 summed
+from its squares in different orders can give |xi|^6 values that differ in
+the last bit, and merging those would change the table.
 Spectra follow numpy's unnormalised forward / 1/n^d inverse convention;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
 core.Grid).
@@ -193,7 +200,17 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(dt * m)
     else:
-        exps = matrix_exp_batch(dt * m)
+        # M(xi) is a function of |xi|^6 and the xi_j of axes with a nonzero T[j]
+        # (D and L are the same on every mode), so modes whose inputs agree bit
+        # for bit share their exponential: exponentiate each distinct one once
+        inputs = [grid.half_k_sixth] + [
+            xi for xi, g in zip(grid.half_deriv_mesh, spec.transport) if np.any(g)
+        ]
+        keys = np.stack([x.ravel() for x in inputs], axis=-1)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * len(inputs)))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        n = spec.ncomp
+        exps = matrix_exp_batch(dt * m.reshape(-1, n, n)[first])[inverse].reshape(m.shape)
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"

@@ -172,6 +172,16 @@ def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch,
     assert field in err
 
 
+def test_audit_rejects_diffusion_whose_symmetric_part_overflows(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | {
+        "A": [[-1.7e308, 0.0], [0.0, 1.0]], "reaction": {"kind": "zero"}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = run_cli(["audit", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 4, stdout
+    assert "PASS" not in stdout and "fails positivity" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "{config}", "--samples", "0"],
     ["audit", "{config}", "--tol", "-1"],
@@ -193,12 +203,22 @@ def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch,
     ["ode-check", "{config}", "--t-end", "inf"],
     ["counterexample", "--kind", "diffusion", "--eps", "nan"],
     ["counterexample", "--kind", "diffusion", "--eps=1,0"],
+    ["counterexample", "--kind", "diffusion", "--a", "nan"],
+    ["counterexample", "--kind", "diffusion", "--a", "inf"],
+    ["counterexample", "--kind", "transport", "--gamma", "inf"],
+    ["counterexample", "--kind", "transport", "--gamma", "nan"],
+    ["counterexample", "--kind", "transport", "--gamma", "0"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")
     args = [a.format(config=config) for a in argv] + ["--out", str(tmp_path)]
     code, _, err = run_cli(args, capsys)
     assert code == 4, err
+    # a rejected coupling strength is reported under its flag, with the value typed
+    for flag in ("--a", "--gamma"):
+        if flag in argv:
+            assert f"{flag} must be finite and" in err
+            assert err.rstrip().endswith(f"got {argv[argv.index(flag) + 1]}"), err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ def test_positivity_violation_names_eigenvalue():
         load_system(json.dumps(cfg))
     assert exc.value.min_eigenvalue == pytest.approx(-1.0)
     assert "-1" in str(exc.value)
+
+
+@pytest.mark.parametrize("a", [
+    # (D + D^T)/2 overflows to -inf and NaN; a finite D must still be judged
+    [[-1.7e308, 0.0], [0.0, 1.0]],
+    [[1.0, 1.7e308], [1.7e308, 1.0]],
+    # positive definite, but the largest eigenvalue (2.5e308) is not a float
+    [[1.5e308, 1e308], [1e308, 1.5e308]],
+])
+def test_positivity_check_survives_overflow(a):
+    cfg = dict(VALID_CFG, N=2, A=a, Gamma=[[[0, 0], [0, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityError) as exc:
+            load_system(json.dumps(cfg))
+    assert not exc.value.min_eigenvalue > 0.0
 
 
 def test_transport_count_must_match_dimension():

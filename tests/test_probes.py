@@ -179,6 +179,13 @@ def test_violation_kind_validation():
         TransportViolation(gamma=0.0)
     with pytest.raises(ValueError):
         ReactionViolation(k=0, j=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiffusionViolation(a=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TransportViolation(gamma=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TransportViolation(gamma=-bad)
 
 
 def test_diffusion_experiment_scaling(rng):

@@ -17,6 +17,7 @@ from trilap import (
     matrix_exp_batch,
     symbol,
 )
+from trilap import spectral
 
 from conftest import pd_diffusion, zero_transport
 
@@ -297,6 +298,66 @@ def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
     assert np.abs(folded.exps[..., 0, 1]).max() > 0.0
 
 
+def _coupled_case(rng, case):
+    """(spec, grid) for one coupled system: the coupling sits where `case` says."""
+    d, ncomp = {"D1": (1, 2), "D2": (2, 2), "D3": (3, 2), "T3axis0": (3, 2), "T3last": (3, 2),
+                "T2both": (2, 2), "L2": (2, 2), "N3": (2, 3)}[case]
+    g = Grid(d=d, n={1: 64, 2: 32, 3: 16}[d], box=8.0)
+    diff = np.diag(rng.uniform(0.5, 2.0, ncomp))
+    gammas = [np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d)]
+    reaction = ZeroReaction()
+    if case.startswith("D"):
+        diff[0, 1] = 0.7
+    elif case == "T3axis0":
+        gammas[0][1, 0] = -0.9
+    elif case == "T3last":
+        gammas[2][0, 1] = 1.1
+    elif case == "T2both":
+        gammas[0][0, 1], gammas[1][1, 0] = 0.6, -0.4
+    elif case == "L2":
+        reaction = LinearReaction(np.array([[0.3, 0.5], [0.0, -0.2]]))
+    else:
+        diff, gammas[1] = pd_diffusion(rng, ncomp), rng.uniform(-1.0, 1.0, (ncomp, ncomp))
+    return SystemSpec(d, ncomp, diff, tuple(gammas), reaction), g
+
+
+@pytest.mark.parametrize("case", ["D1", "D2", "D3", "T3axis0", "T3last", "T2both", "L2", "N3"])
+def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
+    # modes that share their symbol share one exponential; the gathered table
+    # must be exactly the per-mode exponential of every half-spectrum symbol
+    spec, g = _coupled_case(rng, case)
+    dt = 3e-3
+    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
+    want = matrix_exp_batch(dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded))
+    exps = build_propagator(spec, g, dt).exps
+    assert exps.shape == g.half_shape + (spec.ncomp,) * 2
+    assert exps.dtype == want.dtype and np.array_equal(exps, want)
+
+
+@pytest.mark.parametrize("coupled_axes", [(), (0,), (2,), (0, 1)])
+def test_coupled_build_exponentiates_each_distinct_symbol_once(monkeypatch, coupled_axes):
+    g = Grid(d=3, n=16, box=8.0)
+    diff = np.array([[1.0, 0.0 if coupled_axes else 0.7], [0.0, 1.5]])
+    gammas = [np.zeros((2, 2)) for _ in range(3)]
+    for j in coupled_axes:
+        gammas[j][0, 1] = 0.5 + j
+    spec = SystemSpec(3, 2, diff, tuple(gammas))
+    batches = []
+
+    def spy(ms):
+        batches.append(ms.shape)
+        return matrix_exp_batch(ms)
+
+    monkeypatch.setattr(spectral, "matrix_exp_batch", spy)
+    build_propagator(spec, g, 1e-3)
+    # the symbol's inputs on each mode: |xi|^6 and xi_j on every axis j with T[j] != 0
+    inputs = [g.half_k_sixth] + [g.half_deriv_mesh[j] for j in coupled_axes]
+    distinct = np.unique(np.stack([x.ravel() for x in inputs]), axis=1).shape[1]
+    assert len(batches) == 1
+    assert batches[0] == (distinct, 2, 2)
+    assert distinct < np.prod(g.half_shape)
+
+
 def test_propagator_semigroup(rng):
     g = Grid(d=1, n=32, box=8.0)
     spec = SystemSpec(1, 2, pd_diffusion(rng, 2), (rng.uniform(-1, 1, (2, 2)),))
@@ -339,6 +400,11 @@ def test_propagator_leaves_polynomial_reaction_out():
 def test_propagator_overflow_detected():
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-800.0]]))
+    with pytest.raises(PropagatorOverflowError):
+        build_propagator(spec, g, 1.0)
+    # the coupled table is gathered from the distinct exponentials before the check
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
+                      LinearReaction([[-800.0, 1.0], [0.0, -800.0]]))
     with pytest.raises(PropagatorOverflowError):
         build_propagator(spec, g, 1.0)
 
