@@ -154,6 +154,9 @@ def _read_config(path: str) -> str:
 
 
 def _cmd_audit(args, argv) -> int:
+    _require(args.samples >= 1, "--samples", ">= 1", args.samples)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
+    _require(args.tol >= 0, "--tol", ">= 0", args.tol)
     text = _read_config(args.config)
     spec = load_system(text)
     sampler = SignSampler(samples_per_component=args.samples, seed=args.seed)
@@ -173,15 +176,26 @@ def _cmd_audit(args, argv) -> int:
     return EXIT_WARNINGS if report.warnings else EXIT_OK
 
 
-def _floats(text: str, flag: str) -> np.ndarray:
-    """Comma-separated finite numbers of a command-line flag."""
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value unless `ok`; the message quotes the flag and the value."""
+    if not ok:
+        shown = value if isinstance(value, str) else f"{value:g}"
+        raise ConfigError(f"{flag} must be {rule}, got {shown}")
+
+
+def _floats(text: str, flag: str, prefix: str = "") -> np.ndarray:
+    """Comma-separated finite numbers after `prefix` in the value of a command-line flag."""
     try:
-        vals = np.array([float(x) for x in text.split(",")])
+        vals = np.array([float(x) for x in text[len(prefix):].split(",")])
     except ValueError:
         vals = None
-    if vals is None or not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{flag}: expected comma-separated finite numbers, got {text!r}")
+    _require(vals is not None and np.all(np.isfinite(vals)), flag,
+             f"{prefix}v1,v2,... with finite numbers", text)
     return vals
+
+
+def _positive(value: float, flag: str) -> None:
+    _require(math.isfinite(value) and value > 0, flag, "finite and > 0", value)
 
 
 def _index(value: int, flag: str, top: int | None = None) -> int:
@@ -194,7 +208,7 @@ def _index(value: int, flag: str, top: int | None = None) -> int:
 
 def _initial_data(kind: str, grid: Grid, ncomp: int, seed: int) -> Field:
     if kind.startswith("constant:"):
-        vals = _floats(kind.split(":", 1)[1], "--u0 constant")
+        vals = _floats(kind, "--u0", prefix="constant:")
         if vals.shape[0] != ncomp:
             raise ConfigError(f"--u0 constant needs {ncomp} values, got {vals.shape[0]}")
         return Field(
@@ -212,6 +226,10 @@ def _initial_data(kind: str, grid: Grid, ncomp: int, seed: int) -> Field:
 
 
 def _cmd_simulate(args, argv) -> int:
+    _positive(args.t_end, "--t-end")
+    if args.dt is not None:
+        _positive(args.dt, "--dt")
+    _require(args.stride >= 1, "--stride", ">= 1", args.stride)
     text = _read_config(args.config)
     spec = load_system(text)
     grid = load_grid(text)
@@ -313,19 +331,17 @@ def _cmd_counterexample(args, argv) -> int:
     if k == j:
         raise ConfigError(f"--k and --j must differ, got --k {args.k} --j {args.j}")
     if args.kind == "diffusion":
-        if not (math.isfinite(args.a) and args.a > 0):
-            raise ConfigError(f"--a must be finite and > 0, got {args.a:g}")
+        _positive(args.a, "--a")
         kind = DiffusionViolation(k=k, j=j, a=args.a)
     elif args.kind == "transport":
         axis = _index(args.axis, "--axis", d)
-        if not (math.isfinite(args.gamma) and args.gamma != 0):
-            raise ConfigError(f"--gamma must be finite and nonzero, got {args.gamma:g}")
+        _require(math.isfinite(args.gamma) and args.gamma != 0, "--gamma",
+                 "finite and nonzero", args.gamma)
         kind = TransportViolation(k=k, j=j, axis=axis, gamma=args.gamma)
     else:
         kind = ReactionViolation(k=k, j=j)
     eps_list = _floats(args.eps, "--eps").tolist()
-    if min(eps_list) <= 0:
-        raise ConfigError(f"--eps: dilation scales must be positive, got {args.eps!r}")
+    _require(min(eps_list) > 0, "--eps", "all positive", args.eps)
     if d == 1:
         n = args.n if args.n is not None else 512
         grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)
@@ -349,9 +365,13 @@ def _cmd_counterexample(args, argv) -> int:
 
 
 def _cmd_ode_check(args, argv) -> int:
+    _positive(args.t_end, "--t-end")
+    _positive(args.dt, "--dt")
+    _require(args.tol >= 0, "--tol", ">= 0", args.tol)
+    y0 = _floats(args.u0, "--u0")
+    _require(np.all(y0 >= 0), "--u0", "nonnegative", args.u0)
     text = _read_config(args.config)
     spec = load_system(text)
-    y0 = _floats(args.u0, "--u0")
     if y0.shape[0] == 1 and spec.ncomp > 1:
         y0 = np.full(spec.ncomp, y0[0])
     cmp = ode_reduction_check(spec.reaction, y0, args.t_end, args.dt)

@@ -303,10 +303,12 @@ class PolynomialReaction(Reaction):
         with np.errstate(over="ignore", invalid="ignore"):
             for k, comp in enumerate(self.terms):
                 for coeff, expo in comp:
-                    term = np.full(values.shape[1:], coeff)
+                    # the scalar coefficient broadcasts; factors multiply in
+                    # component order, and u**1 is u itself
+                    term = coeff
                     for l, e in enumerate(expo):
                         if e:
-                            term = term * values[l] ** e
+                            term = term * (values[l] if e == 1 else values[l] ** e)
                     out[k] += term
         return out
 

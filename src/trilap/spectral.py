@@ -7,9 +7,9 @@ The linear part of the system has the per-mode symbol
 minus L when the reaction is linear (F = L u), which the propagators fold
 in.  `symbol` is the one place it is assembled.  It takes the |xi|^6 and
 first-derivative meshes as arguments, so it serves both spectral layouts:
-the real half spectrum (np.fft.rfftn, Grid.half_* meshes) that the stepper
-carries, and the full complex DFT (np.fft.fftn, Grid.k_sixth / deriv_mesh)
-of the initial rate.
+the real half spectrum (the rfftn layout, Grid.half_* meshes) that the
+stepper carries, and the full complex DFT (np.fft.fftn, Grid.k_sixth /
+deriv_mesh) of the initial rate.
 When D, every T[j] and any folded L are diagonal (the systems that pass the
 audit) each mode splits into N scalar symbols, stored (N, *mesh);
 otherwise there is one N x N matrix per mode, stored (*mesh, N, N).
@@ -28,7 +28,8 @@ gathered from the results, equal to exponentiating every mode.  The key is
 the bytes of those float values, never an integer |m|^2: one |m|^2 summed
 from its squares in different orders can give |xi|^6 values that differ in
 the last bit, and merging those would change the table.
-Spectra follow numpy's unnormalised forward / 1/n^d inverse convention;
+Spectra follow the unnormalised forward / 1/n^d inverse convention that
+numpy.fft and scipy.fft share;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
 core.Grid).
 """

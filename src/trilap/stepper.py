@@ -17,15 +17,20 @@ which reduces to classical RK4 on u' = -F(u) when the symbol vanishes
 linear substeps for one fewer nonlinear stage; exactness wins here.
 
 Fields are real, so the state is carried as its half spectrum
-(np.fft.rfftn / irfftn, Grid.half_shape modes) and every propagator is
-built on that layout.  Audit-passing systems (diagonal D, T[i] and L)
-propagate elementwise, N scalar exponentials per mode; coupled systems
-apply an N x N matrix per mode.  Repeated runs of one spec on one grid and
-step reuse its propagator tables (at most the two one run needs are kept,
-and they go with the spec).
+(scipy.fft.rfftn / irfftn, Grid.half_shape modes) and every propagator is
+built on that layout.  Each state is transformed back once: the samples of
+step n serve its blow-up check, its record and stage 1 of step n+1, so an
+n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.
+Audit-passing systems (diagonal D, T[i] and L) propagate elementwise, N
+scalar exponentials per mode; coupled systems apply an N x N matrix per
+mode.  Repeated runs of one spec on one grid and step reuse its propagator
+tables (at most the two one run needs are kept, and they go with the spec).
 
 State with any |value| > 1e12 or a non-finite entry aborts the run and
-returns the recorded series up to the last finite step, flagged.
+returns the series recorded before it, flagged with the step where it
+happened, whatever the output stride.  Polynomial runs check the samples
+they hold after every step; zero and linear runs check the bound
+max|u| <= sum |u_hat| / n^d and transform back only when it exceeds 1e12.
 """
 
 from __future__ import annotations
@@ -176,8 +181,33 @@ def _diagnostics_row(values: np.ndarray, grid: Grid) -> np.ndarray:
     ])
 
 
+def _too_large(values: np.ndarray) -> bool:
+    """Any entry above the blow-up threshold in magnitude, or not finite."""
+    return not (-BLOWUP_THRESHOLD <= values.min() and values.max() <= BLOWUP_THRESHOLD)
+
+
+def _max_abs_bound(coeffs: np.ndarray, grid: Grid) -> float:
+    """Upper bound on max|u| over the components of half spectra (N, *half_shape).
+
+    |u(x)| <= sum over the full spectrum of |u_hat| / n^d; on the half
+    spectrum the last-axis columns 0 and n/2 (n is even on every Grid) count
+    once, every other column twice.
+    """
+    a = np.abs(coeffs)
+    full_sum = 2.0 * a.sum(axis=-1) - a[..., 0] - a[..., -1]
+    return float(full_sum.reshape(coeffs.shape[0], -1).sum(axis=1).max()) / grid.size
+
+
 def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
-    """Advance u from 0 to t_end, recording diagnostics every output stride."""
+    """Advance u from 0 to t_end, recording diagnostics every output stride.
+
+    The state is checked for blow-up after every step, so blowup_step does
+    not depend on the output stride.
+    """
+    # imported here, not at module level, so that importing trilap (and the
+    # CLI's audit) does not load scipy
+    from scipy import fft
+
     grid = u0.grid
     if grid.d != spec.d:
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
@@ -189,13 +219,18 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     dt = rc.dt
 
     def to_values(c: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(c, s=grid.shape, axes=axes)
+        return fft.irfftn(c, s=grid.shape, axes=axes)
 
+    # samples(c): the values of c, or None where a linear run's bound keeps
+    # them below the blow-up threshold and no transform back is needed
     if spec.reaction.kind in ("zero", "linear"):
         prop = _propagator(spec, grid, dt)
 
-        def advance(c: np.ndarray, step: int) -> np.ndarray:
+        def advance(c: np.ndarray, values, step: int) -> np.ndarray:
             return prop.apply(c)
+
+        def samples(c: np.ndarray):
+            return None if _max_abs_bound(c, grid) <= BLOWUP_THRESHOLD else to_values(c)
 
     else:
         full = _propagator(spec, grid, dt)
@@ -203,43 +238,48 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         mask = grid.half_dealias_mask if rc.dealias else None
         react = spec.reaction
 
-        def nonlinear(c: np.ndarray, step: int) -> np.ndarray:
-            f = react.evaluate(to_values(c))
+        def nonlinear(values: np.ndarray, step: int) -> np.ndarray:
+            f = react.evaluate(values)
             if not np.all(np.isfinite(f)):
                 raise ReactionOverflowError(step)
-            fc = np.fft.rfftn(-f, axes=axes)
+            fc = fft.rfftn(-f, axes=axes)
             if mask is not None:
                 fc *= mask
             return fc
 
-        def advance(c: np.ndarray, step: int) -> np.ndarray:
-            n1 = nonlinear(c, step)
-            u2 = half.apply(c + (dt / 2.0) * n1)
-            n2 = nonlinear(u2, step)
-            u3 = half.apply(c) + (dt / 2.0) * n2
-            n3 = nonlinear(u3, step)
+        def advance(c: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
+            # stage 1 reads the values of c that the previous step computed; the
+            # stage states u2, u3, u4 stay unnamed so each is freed once transformed
+            n1 = nonlinear(values, step)
+            n2 = nonlinear(to_values(half.apply(c + (dt / 2.0) * n1)), step)
+            n3 = nonlinear(to_values(half.apply(c) + (dt / 2.0) * n2), step)
             ec = full.apply(c)
-            u4 = ec + dt * half.apply(n3)
-            n4 = nonlinear(u4, step)
+            n4 = nonlinear(to_values(ec + dt * half.apply(n3)), step)
             return ec + (dt / 6.0) * (full.apply(n1) + 2.0 * half.apply(n2 + n3) + n4)
+
+        samples = to_values
 
     times = [0.0]
     rows = [_diagnostics_row(u0.values, grid)]
     last_values, last_t = u0.values, 0.0
     blown, blow_step = False, None
 
-    coeffs = np.fft.rfftn(u0.values, axes=axes)
+    coeffs = fft.rfftn(u0.values, axes=axes)
+    values = samples(coeffs)
     for step in range(1, rc.n_steps + 1):
         try:
-            coeffs = advance(coeffs, step)
+            coeffs = advance(coeffs, values, step)
         except ReactionOverflowError:
             blown, blow_step = True, step
             break
+        # transformed after advance returns, once its stage arrays are freed
+        values = samples(coeffs)
+        if values is not None and _too_large(values):
+            blown, blow_step = True, step
+            break
         if step % rc.output_stride == 0 or step == rc.n_steps:
-            values = to_values(coeffs)
-            if not np.all(np.isfinite(values)) or np.abs(values).max() > BLOWUP_THRESHOLD:
-                blown, blow_step = True, step
-                break
+            if values is None:
+                values = to_values(coeffs)
             t = step * dt
             times.append(t)
             rows.append(_diagnostics_row(values, grid))

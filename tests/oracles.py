@@ -37,3 +37,22 @@ def scalar_decay_solution(grid, values1, t):
     mesh = np.meshgrid(*(k,) * grid.d, indexing="ij")
     k6 = sum(m**2 for m in mesh) ** 3
     return np.fft.ifftn(np.exp(-k6 * t) * np.fft.fftn(values1)).real
+
+
+def polynomial_reaction_full(reaction, values):
+    """Polynomial reaction evaluated term by term from a full coefficient array.
+
+    Each monomial starts as np.full(coeff) and multiplies values[l]**e for
+    every nonzero exponent in component order, the straightforward reading
+    of coeff * prod_l u_l**e_l.
+    """
+    out = np.zeros_like(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, comp in enumerate(reaction.terms):
+            for coeff, expo in comp:
+                term = np.full(values.shape[1:], coeff)
+                for l, e in enumerate(expo):
+                    if e:
+                        term = term * values[l] ** e
+                out[k] += term
+    return out

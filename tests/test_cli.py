@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trilap
 from trilap.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -19,6 +22,26 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SCIPY_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "trilap.cli.main(['audit', sys.argv[2], '--out', sys.argv[3]]); "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+)
+
+
+def test_import_and_audit_do_not_load_scipy(tmp_path):
+    # scipy (the stepper's FFTs, the probes' erfc) loads on first use only
+    src = str(Path(trilap.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, src, str(CONFIGS / "diagonal_logistic.json"),
+         str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    after_import, _, after_audit = proc.stdout.splitlines()
+    assert after_import == "[]" and after_audit == "[]", proc.stdout
 
 
 def test_audit_pass(tmp_path, capsys):
@@ -208,17 +231,23 @@ def test_audit_rejects_diffusion_whose_symmetric_part_overflows(tmp_path, capsys
     ["counterexample", "--kind", "transport", "--gamma", "inf"],
     ["counterexample", "--kind", "transport", "--gamma", "nan"],
     ["counterexample", "--kind", "transport", "--gamma", "0"],
+    ["simulate", "{config}", "--t-end", "0.1", "--dt", "nan"],
+    ["simulate", "{config}", "--t-end", "0.1", "--stride", "0"],
+    ["ode-check", "{config}", "--dt", "0"],
+    ["ode-check", "{config}", "--tol", "nan"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")
     args = [a.format(config=config) for a in argv] + ["--out", str(tmp_path)]
     code, _, err = run_cli(args, capsys)
     assert code == 4, err
-    # a rejected coupling strength is reported under its flag, with the value typed
-    for flag in ("--a", "--gamma"):
-        if flag in argv:
-            assert f"{flag} must be finite and" in err
-            assert err.rstrip().endswith(f"got {argv[argv.index(flag) + 1]}"), err
+    # the last flag holds the rejected value; it is reported under that flag
+    # with the value typed, not under a library parameter
+    flag, value = argv[-2:]
+    if flag in ("--a", "--gamma", "--samples", "--seed", "--tol", "--t-end", "--dt", "--stride",
+                "--u0", "--eps"):
+        assert f"{flag} must be " in err, err
+        assert err.rstrip().endswith(f"got {value}"), err
 
 
 @pytest.mark.parametrize("argv,message", [

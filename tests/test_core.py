@@ -22,6 +22,7 @@ from trilap import (
 )
 
 from conftest import pd_diffusion, zero_transport
+from oracles import polynomial_reaction_full
 
 
 VALID_CFG = {
@@ -320,3 +321,26 @@ def test_reaction_evaluations():
     logistic = PolynomialReaction((((1.0, (2,)), (-1.0, (1,))),))
     assert logistic.evaluate(np.zeros((1, 4))) == pytest.approx(np.zeros((1, 4)))
     assert logistic.evaluate(np.full((1, 1), 3.0))[0, 0] == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_polynomial_evaluation_matches_full_array_oracle(ncomp):
+    rng = np.random.default_rng(7 + ncomp)
+    # every exponent 0..3 on every component, plus a constant term per component
+    terms = tuple(
+        ((float(rng.uniform(-2, 2)), (0,) * ncomp),)
+        + tuple(
+            (float(rng.uniform(-2, 2)), tuple(int(e) for e in rng.integers(0, 4, ncomp)))
+            for _ in range(6)
+        )
+        + tuple((float(rng.uniform(-2, 2)), (e,) * ncomp) for e in range(4))
+        for _ in range(ncomp)
+    )
+    reaction = PolynomialReaction(terms)
+    values = rng.uniform(-3, 3, (ncomp, 5, 7))
+    values[:, 0, :3] = [0.0, -0.0, 1e120]
+    got = reaction.evaluate(values)
+    want = polynomial_reaction_full(reaction, values)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -197,6 +197,55 @@ def test_blowup_flagged_with_partial_series():
     assert len(ts.times) == len(ts.diagnostics)
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_if_rk4_transform_count(monkeypatch, stride):
+    # one inverse transform per stage and state: stage 1 reuses the samples
+    # that the previous step's blow-up check and record computed
+    import scipy.fft
+
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        real = getattr(scipy.fft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    grid = Grid(d=2, n=16, box=16.0)
+    spec = SystemSpec(2, 1, [[1.0]], zero_transport(2, 1), LOGISTIC)
+    x, y = grid.coord_mesh
+    u0 = Field(grid, (0.5 + 0.1 * np.cos(np.pi * x / 8) * np.cos(np.pi * y / 8))[None])
+    n = 9
+    ts = run(spec, u0, RunConfig(t_end=n / 64, dt=1 / 64, output_stride=stride))
+    assert len(ts.times) == 1 + -(-n // stride) and not ts.blown_up
+    assert calls == {"rfftn": 4 * n + 1, "irfftn": 4 * n + 1}
+
+
+BLOWUP_GRID = Grid(d=1, n=16, box=16.0)
+
+
+@pytest.mark.parametrize("stride", [1, 4, 8, 16])
+def test_blowup_step_does_not_depend_on_stride(stride):
+    # du/dt = +u^2 from u = 2 passes 1e12 during step 33 at dt 1/64
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1),
+                      PolynomialReaction((((-1.0, (2,)),),)))
+    u0 = Field(BLOWUP_GRID, np.full((1, 16), 2.0))
+    ts = run(spec, u0, RunConfig(t_end=2.0, dt=1 / 64, output_stride=stride))
+    assert ts.blown_up and ts.blowup_step == 33
+    assert ts.final_t == 32 // stride * stride / 64
+
+
+@pytest.mark.parametrize("stride", [1, 3, 8])
+def test_linear_blowup_step_does_not_depend_on_stride(stride):
+    # F = -40 u: u = 2 exp(40 t) passes 1e12 during step 44 at dt 1/64
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-40.0]]))
+    u0 = Field(BLOWUP_GRID, np.full((1, 16), 2.0))
+    ts = run(spec, u0, RunConfig(t_end=1.0, dt=1 / 64, output_stride=stride))
+    assert ts.blown_up and ts.blowup_step == 44
+    assert ts.final_t == 43 // stride * stride / 64
+
+
 def test_suggest_dt_respects_exp_budget(scalar_heat_spec):
     from trilap import suggest_dt
 
