@@ -183,14 +183,14 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise ConfigError(f"{flag} must be {rule}, got {shown}")
 
 
-def _floats(text: str, flag: str, prefix: str = "") -> np.ndarray:
-    """Comma-separated finite numbers after `prefix` in the value of a command-line flag."""
+def _floats(text: str, flag: str) -> np.ndarray:
+    """Comma-separated finite numbers of a command-line flag."""
     try:
-        vals = np.array([float(x) for x in text[len(prefix):].split(",")])
+        vals = np.array([float(x) for x in text.split(",")])
     except ValueError:
         vals = None
     _require(vals is not None and np.all(np.isfinite(vals)), flag,
-             f"{prefix}v1,v2,... with finite numbers", text)
+             "comma-separated finite numbers", text)
     return vals
 
 
@@ -208,7 +208,7 @@ def _index(value: int, flag: str, top: int | None = None) -> int:
 
 def _initial_data(kind: str, grid: Grid, ncomp: int, seed: int) -> Field:
     if kind.startswith("constant:"):
-        vals = _floats(kind, "--u0", prefix="constant:")
+        vals = _floats(kind[len("constant:"):], "--u0 constant")
         if vals.shape[0] != ncomp:
             raise ConfigError(f"--u0 constant needs {ncomp} values, got {vals.shape[0]}")
         return Field(

@@ -28,9 +28,8 @@ tables (at most the two one run needs are kept, and they go with the spec).
 
 State with any |value| > 1e12 or a non-finite entry aborts the run and
 returns the series recorded before it, flagged with the step where it
-happened, whatever the output stride.  Polynomial runs check the samples
-they hold after every step; zero and linear runs check the bound
-max|u| <= sum |u_hat| / n^d and transform back only when it exceeds 1e12.
+happened, whatever the output stride: every state is transformed back and
+checked after its step.
 """
 
 from __future__ import annotations
@@ -186,18 +185,6 @@ def _too_large(values: np.ndarray) -> bool:
     return not (-BLOWUP_THRESHOLD <= values.min() and values.max() <= BLOWUP_THRESHOLD)
 
 
-def _max_abs_bound(coeffs: np.ndarray, grid: Grid) -> float:
-    """Upper bound on max|u| over the components of half spectra (N, *half_shape).
-
-    |u(x)| <= sum over the full spectrum of |u_hat| / n^d; on the half
-    spectrum the last-axis columns 0 and n/2 (n is even on every Grid) count
-    once, every other column twice.
-    """
-    a = np.abs(coeffs)
-    full_sum = 2.0 * a.sum(axis=-1) - a[..., 0] - a[..., -1]
-    return float(full_sum.reshape(coeffs.shape[0], -1).sum(axis=1).max()) / grid.size
-
-
 def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     """Advance u from 0 to t_end, recording diagnostics every output stride.
 
@@ -221,16 +208,13 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     def to_values(c: np.ndarray) -> np.ndarray:
         return fft.irfftn(c, s=grid.shape, axes=axes)
 
-    # samples(c): the values of c, or None where a linear run's bound keeps
-    # them below the blow-up threshold and no transform back is needed
+    coeffs = fft.rfftn(u0.values, axes=axes)
     if spec.reaction.kind in ("zero", "linear"):
         prop = _propagator(spec, grid, dt)
+        values = None  # a linear step reads only the spectrum
 
         def advance(c: np.ndarray, values, step: int) -> np.ndarray:
             return prop.apply(c)
-
-        def samples(c: np.ndarray):
-            return None if _max_abs_bound(c, grid) <= BLOWUP_THRESHOLD else to_values(c)
 
     else:
         full = _propagator(spec, grid, dt)
@@ -257,15 +241,13 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             n4 = nonlinear(to_values(ec + dt * half.apply(n3)), step)
             return ec + (dt / 6.0) * (full.apply(n1) + 2.0 * half.apply(n2 + n3) + n4)
 
-        samples = to_values
+        values = to_values(coeffs)
 
     times = [0.0]
     rows = [_diagnostics_row(u0.values, grid)]
     last_values, last_t = u0.values, 0.0
     blown, blow_step = False, None
 
-    coeffs = fft.rfftn(u0.values, axes=axes)
-    values = samples(coeffs)
     for step in range(1, rc.n_steps + 1):
         try:
             coeffs = advance(coeffs, values, step)
@@ -273,13 +255,11 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             blown, blow_step = True, step
             break
         # transformed after advance returns, once its stage arrays are freed
-        values = samples(coeffs)
-        if values is not None and _too_large(values):
+        values = to_values(coeffs)
+        if _too_large(values):
             blown, blow_step = True, step
             break
         if step % rc.output_stride == 0 or step == rc.n_steps:
-            if values is None:
-                values = to_values(coeffs)
             t = step * dt
             times.append(t)
             rows.append(_diagnostics_row(values, grid))

@@ -205,6 +205,31 @@ def test_audit_rejects_diffusion_whose_symmetric_part_overflows(tmp_path, capsys
     assert "PASS" not in stdout and "fails positivity" in err
 
 
+REJECTED_FLAG_MESSAGES = {
+    ("--samples", "0"): "--samples must be >= 1, got 0",
+    ("--seed", "-1"): "--seed must be >= 0, got -1",
+    ("--tol", "-1"): "--tol must be >= 0, got -1",
+    ("--tol", "nan"): "--tol must be >= 0, got nan",
+    ("--t-end", "nan"): "--t-end must be finite and > 0, got nan",
+    ("--t-end", "inf"): "--t-end must be finite and > 0, got inf",
+    ("--dt", "nan"): "--dt must be finite and > 0, got nan",
+    ("--dt", "0"): "--dt must be finite and > 0, got 0",
+    ("--stride", "0"): "--stride must be >= 1, got 0",
+    ("--u0", "constant:x"): "--u0 constant must be comma-separated finite numbers, got x",
+    ("--u0", "x"): "--u0 must be comma-separated finite numbers, got x",
+    ("--u0", "-1"): "--u0 must be nonnegative, got -1",
+    ("--eps", "x"): "--eps must be comma-separated finite numbers, got x",
+    ("--eps", "nan"): "--eps must be comma-separated finite numbers, got nan",
+    ("--eps", "1,0"): "--eps must be all positive, got 1,0",
+    ("--a", "-1"): "--a must be finite and > 0, got -1",
+    ("--a", "nan"): "--a must be finite and > 0, got nan",
+    ("--a", "inf"): "--a must be finite and > 0, got inf",
+    ("--gamma", "inf"): "--gamma must be finite and nonzero, got inf",
+    ("--gamma", "nan"): "--gamma must be finite and nonzero, got nan",
+    ("--gamma", "0"): "--gamma must be finite and nonzero, got 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "{config}", "--samples", "0"],
     ["audit", "{config}", "--tol", "-1"],
@@ -242,12 +267,10 @@ def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     code, _, err = run_cli(args, capsys)
     assert code == 4, err
     # the last flag holds the rejected value; it is reported under that flag
-    # with the value typed, not under a library parameter
-    flag, value = argv[-2:]
-    if flag in ("--a", "--gamma", "--samples", "--seed", "--tol", "--t-end", "--dt", "--stride",
-                "--u0", "--eps"):
-        assert f"{flag} must be " in err, err
-        assert err.rstrip().endswith(f"got {value}"), err
+    # with the rule it breaks and the value typed, not under a library parameter
+    last = tuple(argv[-1].split("=")) if "=" in argv[-1] else tuple(argv[-2:])
+    if last in REJECTED_FLAG_MESSAGES:
+        assert err.rstrip().endswith(REJECTED_FLAG_MESSAGES[last]), err
 
 
 @pytest.mark.parametrize("argv,message", [
