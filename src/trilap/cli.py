@@ -39,12 +39,10 @@ from .probes import (
     axis_derivative_at_origin,
     build_diffusion_probe,
     build_transport_probe,
-    diffusion_probe_mollifier,
     lap3_at_origin,
     ode_reduction_check,
     probe_grid,
     run_violation_experiment,
-    transport_probe_mollifier,
 )
 from .stepper import RunConfig, run, suggest_dt
 
@@ -161,13 +159,14 @@ def _cmd_audit(args, argv) -> int:
     spec = load_system(text)
     sampler = SignSampler(samples_per_component=args.samples, seed=args.seed)
     report = audit(spec, sampler, tol=args.tol)
+    payload = report.to_dict()
     outdir = Path(args.out)
     _write_manifest(outdir, argv, args.seed, parse_config(text))
-    (outdir / "audit_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (outdir / "audit_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     verdict = "PASS" if report.overall else "FAIL"
     _emit(
         args,
-        report.to_dict(),
+        payload,
         f"audit {verdict}: {len(report.violations)} violation(s), "
         f"{len(report.warnings)} warning(s); report in {outdir / 'audit_report.json'}",
     )
@@ -242,7 +241,7 @@ def _cmd_simulate(args, argv) -> int:
     outdir = Path(args.out)
     _write_manifest(outdir, argv, args.seed, parse_config(text))
     csv_path = outdir / "timeseries.csv"
-    ts.write_csv(csv_path)
+    csv_path.write_text(ts.to_csv())
     ts.save_final_state(outdir / "final_state.npz")
     _write_plot_script(outdir, "timeseries.csv", spec.ncomp)
     status = f"blew up at step {ts.blowup_step}" if ts.blown_up else f"reached t={ts.final_t:g}"
@@ -277,18 +276,16 @@ def _write_plot_script(outdir: Path, csv_name: str, ncomp: int) -> None:
 
 
 def _cmd_probe(args, argv) -> int:
+    _positive(args.eps, "--eps")
     if args.box is not None:
         grid = Grid(d=args.d, n=args.n if args.n is not None else 256, box=args.box)
     else:
         grid = probe_grid(args.d, args.n)
+    mol = None
     if args.r0 is not None or args.r1 is not None:
         if args.r0 is None or args.r1 is None:
             raise ConfigError("--r0 and --r1 must be given together")
         mol = Mollifier(args.r0, args.r1)
-    elif args.kind == "diffusion":
-        mol = diffusion_probe_mollifier(grid.d, args.eps)
-    else:
-        mol = transport_probe_mollifier(args.eps)
 
     if args.kind == "diffusion":
         fld = build_diffusion_probe(grid, args.eps, mol)
@@ -342,6 +339,8 @@ def _cmd_counterexample(args, argv) -> int:
         kind = ReactionViolation(k=k, j=j)
     eps_list = _floats(args.eps, "--eps").tolist()
     _require(min(eps_list) > 0, "--eps", "all positive", args.eps)
+    if args.t_probe is not None:
+        _positive(args.t_probe, "--t-probe")
     if d == 1:
         n = args.n if args.n is not None else 512
         grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)

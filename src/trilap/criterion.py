@@ -28,6 +28,7 @@ from .core import AuditReport, ConfigError, Reaction, SystemSpec, Violation, as_
 
 __all__ = [
     "SignSampler",
+    "MAGNITUDE_SCALES",
     "REACTION_SIGN_TOLERANCE",
     "check_assumption_offdiag_nonneg",
     "check_diagonality",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 REACTION_SIGN_TOLERANCE = 1e-12
+# the scaled unit vectors and the ranges of the uniform face draws
+MAGNITUDE_SCALES = (0.1, 1.0, 10.0)
 
 RULE_DIAG_A = "diag-A"
 RULE_DIAG_GAMMA = "diag-Gamma"
@@ -52,11 +55,10 @@ class SignSampler:
 
     Per component: the origin, each unit coordinate vector, each scaled
     unit vector, and samples_per_component uniform nonnegative draws at
-    every magnitude scale, all with the tested coordinate pinned to zero.
+    each of MAGNITUDE_SCALES, all with the tested coordinate pinned to zero.
     """
 
     samples_per_component: int = 256
-    magnitude_scales: tuple[float, ...] = (0.1, 1.0, 10.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -64,8 +66,6 @@ class SignSampler:
             raise ConfigError("samples_per_component must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.magnitude_scales or any(s <= 0 for s in self.magnitude_scales):
-            raise ConfigError("magnitude scales must be positive")
 
     def face_points(self, ncomp: int, k: int) -> np.ndarray:
         """Nonnegative sample points with coordinate k pinned to 0, shape (P, ncomp)."""
@@ -76,10 +76,10 @@ class SignSampler:
             e = np.zeros(ncomp)
             e[j] = 1.0
             pts.append(e)
-            for scale in self.magnitude_scales:
+            for scale in MAGNITUDE_SCALES:
                 pts.append(scale * e)
         rng = np.random.default_rng((self.seed, k))
-        for scale in self.magnitude_scales:
+        for scale in MAGNITUDE_SCALES:
             block = rng.uniform(0.0, scale, size=(self.samples_per_component, ncomp))
             block[:, k] = 0.0
             pts.append(block)
@@ -127,12 +127,14 @@ def check_reaction_boundary_sign(
         pts = sampler.face_points(ncomp, k)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = reaction.evaluate(pts.T)[k]
-        for p, v in zip(pts, vals):
-            site = {"component": k, "sample": [float(x) for x in p]}
-            if not np.isfinite(v):
+        finite = np.isfinite(vals)
+        # witnesses are built for the flagged samples only, in sample order
+        for i in np.flatnonzero(~finite | (vals > REACTION_SIGN_TOLERANCE)):
+            site = {"component": k, "sample": pts[i].tolist()}
+            if finite[i]:
+                out.append(Violation(RULE_REACTION, site, float(vals[i])))
+            else:
                 out.append(Violation(RULE_REACTION_INDETERMINATE, site, float("nan")))
-            elif v > REACTION_SIGN_TOLERANCE:
-                out.append(Violation(RULE_REACTION, site, float(v)))
     return out
 
 

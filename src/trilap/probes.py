@@ -38,7 +38,7 @@ of the almost-everywhere statement on R^d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .core import (
     Reaction,
     SystemSpec,
     ZeroReaction,
-    min_component_value,
 )
 from .spectral import PropagatorOverflowError, apply_modes, symbol
 from .stepper import RunConfig, run
@@ -290,10 +289,14 @@ class _ViolationKind:
 
     The repaired system drops the coupling: identity diffusion, zero
     transport, zero reaction.  Probes default to the diffusion probe.
+    `substeps` is the number of steps an experiment takes to t_probe: one
+    exact step when the system is linear.
     """
 
     k: int = 0
     j: int = 1
+
+    substeps = 1
 
     def __post_init__(self):
         if self.k == self.j or min(self.k, self.j) < 0:
@@ -314,6 +317,9 @@ class _ViolationKind:
     def base_mollifier(self, d: int) -> Mollifier:
         # small r0: the dilated eps datapoints need the widest inner ramp available
         return Mollifier(0.05 * LN2 / d, 1.3 if d == 1 else 0.9)
+
+    def params(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -336,9 +342,6 @@ class DiffusionViolation(_ViolationKind):
         diff = np.eye(self.ncomp)
         diff[self.k, self.j] = self.a
         return _identity_system(d, self.ncomp, diffusion=diff)
-
-    def params(self) -> dict:
-        return {"k": self.k, "j": self.j, "a": self.a}
 
 
 @dataclass(frozen=True)
@@ -370,37 +373,19 @@ class TransportViolation(_ViolationKind):
     def base_mollifier(self, d: int) -> Mollifier:
         return transport_probe_mollifier()
 
-    def params(self) -> dict:
-        return {"k": self.k, "j": self.j, "axis": self.axis, "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class ReactionViolation(_ViolationKind):
-    """Boundary-sign-violating reaction, default F_k(u) = u_j on the face u_k = 0."""
-
-    reaction: Reaction | None = None
+    """Boundary-sign-violating reaction F_k(u) = u_j on the face u_k = 0."""
 
     label = "reaction"
     expected_slope = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.reaction is None:
-            terms = []
-            for c in range(self.ncomp):
-                if c == self.k:
-                    expo = [0] * self.ncomp
-                    expo[self.j] = 1
-                    terms.append(((1.0, tuple(expo)),))
-                else:
-                    terms.append(())
-            object.__setattr__(self, "reaction", PolynomialReaction(tuple(terms)))
+    substeps = 16
 
     def system(self, d: int) -> SystemSpec:
-        return _identity_system(d, self.ncomp, self.reaction)
-
-    def params(self) -> dict:
-        return {"k": self.k, "j": self.j}
+        face_term = ((1.0, tuple(int(c == self.j) for c in range(self.ncomp))),)
+        terms = tuple(face_term if c == self.k else () for c in range(self.ncomp))
+        return _identity_system(d, self.ncomp, PolynomialReaction(terms))
 
 
 @dataclass(frozen=True)
@@ -451,8 +436,6 @@ def run_violation_experiment(
     eps_list,
     grid: Grid,
     t_probe: float | None = None,
-    base_mollifier: Mollifier | None = None,
-    reaction_substeps: int = 16,
 ) -> ViolationReport:
     """Probe a structurally violating system across a list of dilation scales.
 
@@ -464,11 +447,10 @@ def run_violation_experiment(
     stepping fails are dropped and noted.
     """
     spec = kind.system(grid.d)
-    base = base_mollifier if base_mollifier is not None else kind.base_mollifier(grid.d)
+    base = kind.base_mollifier(grid.d)
     if t_probe is None:
         t_probe = default_t_probe(spec, grid)
-    substeps = 1 if spec.reaction.kind in ("zero", "linear") else reaction_substeps
-    rc = RunConfig(t_end=t_probe, dt=t_probe / substeps, output_stride=substeps)
+    rc = RunConfig(t_end=t_probe, dt=t_probe / kind.substeps, output_stride=kind.substeps)
     m = _rate_symbol(spec, grid)
 
     kept_eps, rates, mins, dropped = [], [], [], []
@@ -486,7 +468,7 @@ def run_violation_experiment(
                 continue
             kept_eps.append(float(eps))
             rates.append(rate_origin)
-            mins.append(min_component_value(ts.final_state, kind.k).value)
+            mins.append(float(ts.diagnostics[-1, kind.k, 0]))
         except (PropagatorOverflowError, ProbeConstructionError) as err:
             dropped.append((float(eps), str(err)))
     return ViolationReport(
@@ -564,7 +546,6 @@ def ode_reduction_check(
     u0_const,
     t_end: float,
     dt: float,
-    grid: Grid | None = None,
 ) -> OdeComparison:
     """Spatially constant PDE run versus the standalone u' = -F(u) solve.
 
@@ -578,7 +559,7 @@ def ode_reduction_check(
     if np.any(y0 < 0):
         raise ConfigError("u0_const must be componentwise nonnegative")
     ncomp = y0.shape[0]
-    grid = grid if grid is not None else Grid(d=1, n=8, box=32.0)
+    grid = Grid(d=1, n=8, box=32.0)
     spec = _identity_system(grid.d, ncomp, reaction)
     u0 = Field(grid, np.broadcast_to(y0.reshape((ncomp,) + (1,) * grid.d), (ncomp,) + grid.shape))
     ts = run(spec, u0, RunConfig(t_end=t_end, dt=dt, output_stride=1))

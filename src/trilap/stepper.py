@@ -125,10 +125,6 @@ class TimeSeries:
                 )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     def save_final_state(self, path) -> None:
         """Binary state dump: grid metadata, time and the sample array."""
         np.savez(

@@ -56,3 +56,25 @@ def polynomial_reaction_full(reaction, values):
                         term = term * values[l] ** e
                 out[k] += term
     return out
+
+
+def reaction_boundary_sign_per_sample(reaction, ncomp, sampler):
+    """The boundary sign check with a witness built for every face sample.
+
+    Visits each sample in order and keeps it when F_k is non-finite
+    ("reaction-indeterminate", value NaN) or above 1e-12 ("reaction-sign").
+    """
+    from trilap.core import Violation
+
+    out = []
+    for k in range(ncomp):
+        pts = sampler.face_points(ncomp, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = reaction.evaluate(pts.T)[k]
+        for p, v in zip(pts, vals):
+            site = {"component": k, "sample": [float(x) for x in p]}
+            if not np.isfinite(v):
+                out.append(Violation("reaction-indeterminate", site, float("nan")))
+            elif v > 1e-12:
+                out.append(Violation("reaction-sign", site, float(v)))
+    return out

@@ -227,6 +227,14 @@ REJECTED_FLAG_MESSAGES = {
     ("--gamma", "inf"): "--gamma must be finite and nonzero, got inf",
     ("--gamma", "nan"): "--gamma must be finite and nonzero, got nan",
     ("--gamma", "0"): "--gamma must be finite and nonzero, got 0",
+    ("--t-probe", "-1"): "--t-probe must be finite and > 0, got -1",
+    ("--t-probe", "0"): "--t-probe must be finite and > 0, got 0",
+    ("--t-probe", "nan"): "--t-probe must be finite and > 0, got nan",
+    ("--t-probe", "inf"): "--t-probe must be finite and > 0, got inf",
+    ("--eps", "-1"): "--eps must be finite and > 0, got -1",
+    ("--eps", "0"): "--eps must be finite and > 0, got 0",
+    # `probe --eps` takes one number, `counterexample --eps` a list
+    ("probe", "--eps", "nan"): "--eps must be finite and > 0, got nan",
 }
 
 
@@ -260,6 +268,13 @@ REJECTED_FLAG_MESSAGES = {
     ["simulate", "{config}", "--t-end", "0.1", "--stride", "0"],
     ["ode-check", "{config}", "--dt", "0"],
     ["ode-check", "{config}", "--tol", "nan"],
+    ["counterexample", "--kind", "diffusion", "--t-probe", "-1"],
+    ["counterexample", "--kind", "diffusion", "--t-probe", "0"],
+    ["counterexample", "--kind", "diffusion", "--t-probe", "nan"],
+    ["counterexample", "--kind", "diffusion", "--t-probe", "inf"],
+    ["probe", "--kind", "diffusion", "--d", "1", "--eps", "-1"],
+    ["probe", "--kind", "diffusion", "--d", "1", "--eps", "0"],
+    ["probe", "--kind", "diffusion", "--d", "1", "--eps", "nan"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")
@@ -269,6 +284,7 @@ def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     # the last flag holds the rejected value; it is reported under that flag
     # with the rule it breaks and the value typed, not under a library parameter
     last = tuple(argv[-1].split("=")) if "=" in argv[-1] else tuple(argv[-2:])
+    last = (argv[0],) + last if (argv[0],) + last in REJECTED_FLAG_MESSAGES else last
     if last in REJECTED_FLAG_MESSAGES:
         assert err.rstrip().endswith(REJECTED_FLAG_MESSAGES[last]), err
 

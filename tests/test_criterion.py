@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from trilap import (
     check_diagonality,
     check_essentially_nonpositive,
     check_reaction_boundary_sign,
+    load_system,
 )
 from trilap.criterion import (
     RULE_REACTION,
@@ -19,6 +22,9 @@ from trilap.criterion import (
 )
 
 from conftest import zero_transport
+from oracles import reaction_boundary_sign_per_sample
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_diagonal_system(rng, d=None, ncomp=None, linear=True):
@@ -180,9 +186,45 @@ def test_audit_random_diagonal_systems_pass_and_corruptions_fail(rng):
 def test_sampler_validation_and_faces():
     with pytest.raises(ValueError):
         SignSampler(samples_per_component=0)
-    with pytest.raises(ValueError):
-        SignSampler(magnitude_scales=(0.0,))
     pts = SignSampler(samples_per_component=8, seed=1).face_points(3, 1)
     assert np.all(pts[:, 1] == 0.0)
     assert np.all(pts >= 0.0)
     assert np.any(np.all(pts == 0.0, axis=1))  # origin included
+
+
+def _rows(violations):
+    # repr pins each value bit for bit and lets NaN equal NaN
+    return [(v.rule, v.site, repr(v.value)) for v in violations]
+
+
+def _assert_matches_per_sample_oracle(reaction, ncomp, seed):
+    sampler = SignSampler(seed=seed)
+    got = check_reaction_boundary_sign(reaction, ncomp, sampler)
+    assert _rows(got) == _rows(reaction_boundary_sign_per_sample(reaction, ncomp, sampler))
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_reaction_sign_matches_per_sample_oracle_on_configs(config, seed):
+    spec = load_system(config.read_text())
+    _assert_matches_per_sample_oracle(spec.reaction, spec.ncomp, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reaction_sign_matches_per_sample_oracle_on_flagged_samples(seed):
+    # a face term u_j in F_0: every sample with u_j > 0 is a witness
+    face = PolynomialReaction((((-1.0, (1, 0, 0)), (0.5, (0, 1, 0))), (), ()))
+    got = _assert_matches_per_sample_oracle(face, 3, seed)
+    assert {v.rule for v in got} == {RULE_REACTION}
+    # u_1^400 overflows to inf at the 10.0 scale; minus u_2^400 gives inf - inf = NaN
+    overflow = PolynomialReaction((((1.0, (0, 400, 0)),), (), ()))
+    nan = PolynomialReaction((((1.0, (0, 400, 0)), (-1.0, (0, 0, 400))), (), ()))
+    corner = np.array([[0.0], [10.0], [10.0]])
+    assert np.isinf(overflow.evaluate(corner)[0, 0]) and np.isnan(nan.evaluate(corner)[0, 0])
+    for reaction in (overflow, nan):
+        got = _assert_matches_per_sample_oracle(reaction, 3, seed)
+        assert {v.rule for v in got} == {RULE_REACTION, RULE_REACTION_INDETERMINATE}
+    # some sampled witnesses overflow in both terms, so their value is NaN, not inf
+    assert any(min(v.site["sample"][1:]) > 6.0
+               for v in got if v.rule == RULE_REACTION_INDETERMINATE)
