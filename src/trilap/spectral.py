@@ -23,11 +23,18 @@ an N x N exponential by scaling-and-squaring (diagonal Pade of order 13,
 Higham's theta_13 switchover), evaluated batched over the distinct symbols
 only.  M(xi) depends on xi only through |xi|^6 and the xi_j of axes with a
 nonzero T[j], so modes whose values of those inputs agree bit for bit have
-equal symbols: each distinct one is exponentiated once and the table is
-gathered from the results, equal to exponentiating every mode.  The key is
-the bytes of those float values, never an integer |m|^2: one |m|^2 summed
-from its squares in different orders can give |xi|^6 values that differ in
-the last bit, and merging those would change the table.
+equal symbols: each distinct one is assembled and exponentiated once and
+the table is gathered from the results, equal to exponentiating every mode.
+The key is the bits of those float values, never an integer |m|^2: one
+|m|^2 summed from its squares in different orders can give |xi|^6 values
+that differ in the last bit, and merging those would change the table.
+The exponential holds its stack component-major, (N, N, M), and forms
+every product as N^3 elementwise multiply-adds over the M matrices (`_mm`),
+where a batched matmul would make one tiny BLAS call per matrix; tables
+agree with that to rounding, not bit for bit.  A matrix leaves the
+squaring loop once its running square is exactly zero, which high modes
+reach by underflow (exp(-dt |xi|^6) is below the smallest double): 0 * 0
+= 0, so the squarings it skips could not have changed it.
 Spectra follow the unnormalised forward / 1/n^d inverse convention that
 numpy.fft and scipy.fft share;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
@@ -56,8 +63,10 @@ class PropagatorOverflowError(ArithmeticError):
     """exp(dt * M) produced non-finite entries; reduce dt or the resolution."""
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return np.array_equal(m, np.diag(np.diag(m)))
+def _decoupled(spec: SystemSpec, folded) -> bool:
+    """True when D, every T[j] and the folded matrices are diagonal."""
+    mats = (spec.diffusion, *spec.transport, *folded)
+    return all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
 
 
 def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=()) -> np.ndarray:
@@ -70,7 +79,7 @@ def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=()) -> np.n
     if len(deriv_mesh) != spec.d:
         raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
     mats = (spec.diffusion, *spec.transport, *folded)
-    if all(_is_diagonal(m) for m in mats):
+    if _decoupled(spec, folded):
         column = (-1,) + (1,) * k_sixth.ndim
         mats = [np.diag(m).reshape(column) for m in mats]
     else:
@@ -120,45 +129,72 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of small matrices held component-major, shape (N, N, M).
+
+    Each output entry is a sum of elementwise products over the M matrices,
+    the per-matrix loop a batched matmul would run M times on tiny operands.
+    """
+    n = a.shape[0]
+    out = np.empty_like(a)
+    term = np.empty_like(a[0, 0])
+    for i in range(n):
+        for j in range(n):
+            np.multiply(a[i, 0], b[0, j], out=out[i, j])
+            for k in range(1, n):
+                out[i, j] += np.multiply(a[i, k], b[k, j], out=term)
+    return out
+
+
 def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     """exp of a stack of small square matrices, shape (..., N, N).
 
     Per matrix: scale by 2^-s so the 1-norm drops below theta_13, apply the
     order-13 diagonal Pade approximant, square s times.  All stages run
-    batched; the squaring loop masks matrices already done.
+    batched on the stack held component-major, (N, N, M), so every product
+    is N^3 elementwise multiply-adds over M matrices (`_mm`).  The squaring
+    loop keeps the indices of the matrices still squaring: one leaves when
+    its s squarings are done or its running square is exactly zero, which
+    no later squaring can change (0 * 0 = 0).  NaN and inf entries are
+    nonzero, so a non-finite matrix squares to the end.
     """
     ms = np.asarray(ms, dtype=complex)
     n = ms.shape[-1]
     shape = ms.shape
-    ms = ms.reshape(-1, n, n)
-    norm1 = np.abs(ms).sum(axis=-2).max(axis=-1)
+    # a copy, scaled in place below: moving the axis of one matrix is only a view
+    a = np.moveaxis(ms.reshape(-1, n, n), 0, -1).copy()
+    norm1 = np.abs(a).sum(axis=0).max(axis=0)
     with np.errstate(divide="ignore"):
         s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13))
     s = np.maximum(s, 0.0).astype(int)
-    a = ms * (0.5**s)[..., None, None]
+    a *= 0.5**s
 
-    eye = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
+    eye = np.eye(n, dtype=complex)[..., None]
     b = _PADE13
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        )
-        r = np.linalg.solve(v - u, v + u)
+        a2 = _mm(a, a)
+        a4 = _mm(a2, a2)
+        a6 = _mm(a2, a4)
+        u = _mm(a, _mm(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (_mm(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+        r = np.linalg.solve(np.moveaxis(v - u, -1, 0), np.moveaxis(v + u, -1, 0))
+        r = np.ascontiguousarray(np.moveaxis(r, 0, -1))
 
-        for k in range(int(s.max()) if s.size else 0):
-            todo = s > k
-            r[todo] = r[todo] @ r[todo]
+        todo = np.flatnonzero(s)
+        w = r[..., todo]
+        k = 0
+        while todo.size:
+            w = _mm(w, w)
+            k += 1
+            stay = (s[todo] > k) & np.any(w != 0, axis=(0, 1))
+            if not stay.all():
+                r[..., todo[~stay]] = w[..., ~stay]
+                todo, w = todo[stay], w[..., stay]
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
-    r[norm1 == 0.0] = np.eye(n, dtype=complex)
-    return r.reshape(shape)
+    r[..., norm1 == 0.0] = eye
+    return np.moveaxis(r, -1, 0).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,22 +232,31 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
-    m = symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
-    if m.ndim == grid.d + 1:
+    if _decoupled(spec, folded):
         with np.errstate(over="ignore", invalid="ignore"):
-            exps = np.exp(dt * m)
+            exps = np.exp(dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded))
     else:
         # M(xi) is a function of |xi|^6 and the xi_j of axes with a nonzero T[j]
         # (D and L are the same on every mode), so modes whose inputs agree bit
-        # for bit share their exponential: exponentiate each distinct one once
-        inputs = [grid.half_k_sixth] + [
-            xi for xi, g in zip(grid.half_deriv_mesh, spec.transport) if np.any(g)
+        # for bit share their exponential: exponentiate each distinct one once.
+        # A stable lexsort of the float bits puts equal keys in runs, each
+        # starting at its lowest mode index
+        keys = [grid.half_k_sixth.ravel().view(np.uint64)] + [
+            xi.ravel().view(np.uint64) for xi, g in zip(grid.half_deriv_mesh, spec.transport)
+            if np.any(g)
         ]
-        keys = np.stack([x.ravel() for x in inputs], axis=-1)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * len(inputs)))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        n = spec.ncomp
-        exps = matrix_exp_batch(dt * m.reshape(-1, n, n)[first])[inverse].reshape(m.shape)
+        order = np.lexsort(keys)
+        starts = np.zeros(order.size, dtype=bool)
+        starts[0] = True
+        for key in keys:
+            ordered = key[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        first = order[starts]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
+        m = symbol(spec, grid.half_k_sixth.ravel()[first],
+                   [xi.ravel()[first] for xi in grid.half_deriv_mesh], folded)
+        exps = matrix_exp_batch(dt * m)[inverse].reshape(grid.half_shape + m.shape[1:])
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"

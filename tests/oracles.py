@@ -78,3 +78,46 @@ def reaction_boundary_sign_per_sample(reaction, ncomp, sampler):
             elif v > 1e-12:
                 out.append(Violation("reaction-sign", site, float(v)))
     return out
+
+
+def matrix_exp_reference(ms):
+    """Scaling and squaring with one BLAS product per matrix and a full squaring loop.
+
+    The batched order-13 Pade exponential as first written: each product is
+    a stacked `@` on (..., N, N), and the squaring loop re-masks the
+    matrices with s > k on every pass and squares all of them.
+    """
+    from trilap.spectral import _PADE13, _THETA13
+
+    ms = np.asarray(ms, dtype=complex)
+    n = ms.shape[-1]
+    shape = ms.shape
+    ms = ms.reshape(-1, n, n)
+    norm1 = np.abs(ms).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13))
+    s = np.maximum(s, 0.0).astype(int)
+    a = ms * (0.5**s)[..., None, None]
+
+    eye = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
+    b = _PADE13
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (
+            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        )
+        v = (
+            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        )
+        r = np.linalg.solve(v - u, v + u)
+
+        for k in range(int(s.max()) if s.size else 0):
+            todo = s > k
+            r[todo] = r[todo] @ r[todo]
+    # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
+    r[norm1 == 0.0] = np.eye(n, dtype=complex)
+    return r.reshape(shape)

@@ -18,8 +18,10 @@ from trilap import (
     symbol,
 )
 from trilap import spectral
+from trilap.probes import DiffusionViolation, default_t_probe
 
 from conftest import pd_diffusion, zero_transport
+from oracles import matrix_exp_reference
 
 
 def _conjugate_mirror(c):
@@ -223,6 +225,86 @@ def test_matrix_exp_batch_shapes(rng):
     out = matrix_exp_batch(ms)
     assert out.shape == (3, 4, 2, 2)
     assert np.abs(out[1, 2] - scipy.linalg.expm(ms[1, 2])).max() < 1e-12
+
+
+def _exp_stack(rng, n):
+    """Matrices of every regime the exponential meets, N x N each.
+
+    Zero matrices; random ones with 1-norms below and across theta_13;
+    diffusion-like -c * (I + a E_01) whose running squares underflow to
+    zero; transport-like -c * I + i * x * T, T symmetric off-diagonal, large x.
+    """
+    def normed(scale, count):
+        m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        return m * (scale / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+
+    jordan = np.eye(n)
+    if n > 1:
+        jordan[0, 1] = 1.3
+    off = np.zeros((n, n))
+    off[n - 1, 0] = off[0, n - 1] = 0.9
+    c = np.geomspace(1.0, 1e8, 40)[:, None, None]
+    x = np.linspace(-200.0, 200.0, 40)[:, None, None]
+    return np.concatenate([
+        np.zeros((3, n, n)),
+        normed(rng.uniform(1e-3, 5.0, 30), 30),
+        normed(rng.uniform(5.0, 40.0, 30), 30),
+        -c * jordan,
+        -np.geomspace(1e-2, 50.0, 40)[:, None, None] * np.eye(n) + 1j * x * off,
+    ]).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matrix_exp_matches_blas_product_reference(rng, n):
+    # the component-major products differ from BLAS zgemm only in rounding;
+    # the early exit leaves every exactly-zero result exactly zero
+    ms = _exp_stack(rng, n)
+    ref = matrix_exp_reference(ms)
+    out = matrix_exp_batch(ms)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(out == 0, ref == 0)
+    assert np.any(ref == 0) and np.any(ref[:, 0, 0] == 0)
+    # the input stack is never written, also when it is a single matrix
+    one = ms[-1:].copy()
+    matrix_exp_batch(one)
+    assert np.array_equal(one, ms[-1:])
+
+
+def test_squaring_stops_once_a_square_underflows_to_zero(monkeypatch):
+    # a sweep's diffusion violation: most distinct symbols have |xi|^6 * dt so
+    # large that their running squares reach exactly zero long before s_i squarings
+    kind = DiffusionViolation(k=0, j=1, a=1.3)
+    g = Grid(d=2, n=256, box=4.4)
+    spec = kind.system(2)
+    dt = default_t_probe(spec, g)
+    events, stacks = [], []
+    real_mm, real_solve, real_exp = spectral._mm, np.linalg.solve, spectral.matrix_exp_batch
+
+    def mm(a, b):
+        events.append(a.shape[-1])
+        return real_mm(a, b)
+
+    def solve(a, b):
+        events.append("solve")
+        return real_solve(a, b)
+
+    def exp(ms):
+        stacks.append((ms, real_exp(ms)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(spectral, "_mm", mm)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(spectral, "matrix_exp_batch", exp)
+    build_propagator(spec, g, dt)
+    ((ms, out),) = stacks
+    norm1 = np.abs(ms).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.ceil(np.log2(np.maximum(norm1, 1e-300) / spectral._THETA13)), 0)
+    squarings = sum(events[events.index("solve") + 1:])
+    assert 0 < squarings < s.sum()
+    ref = matrix_exp_reference(ms)
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(out == 0, ref == 0)
 
 
 # ---------------------------------------------------------------------------
