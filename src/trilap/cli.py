@@ -8,11 +8,14 @@ observed), 2 audit fail / negativity missing / tolerance exceeded,
 
 Every invocation writes a manifest (tool version, argv, seed, config echo)
 into the output directory so results can be reproduced byte for byte.
+JSON files hold one line of compact JSON; a report file is exactly the
+text `--json` prints, so each report is encoded once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -62,7 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args leaves the parser unchanged, so one instance serves every main() call
     p = _Parser(prog="trilap", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"trilap {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -137,11 +142,19 @@ def _write_manifest(outdir: Path, argv, seed, config_echo) -> None:
         "seed": seed,
         "config": config_echo,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
-def _emit(args, payload: dict, line: str) -> None:
-    print(json.dumps(payload) if args.json else line)
+def _write_json(path: Path, payload: dict) -> str:
+    """Write payload as one line of JSON; returns that text, which `--json` prints."""
+    text = json.dumps(payload)
+    path.write_text(text + "\n")
+    return text
+
+
+def _emit(args, encoded: str, line: str) -> None:
+    """Print the payload's JSON text under --json, else the human-readable line."""
+    print(encoded if args.json else line)
 
 
 def _read_config(path: str) -> str:
@@ -159,14 +172,13 @@ def _cmd_audit(args, argv) -> int:
     spec = load_system(text)
     sampler = SignSampler(samples_per_component=args.samples, seed=args.seed)
     report = audit(spec, sampler, tol=args.tol)
-    payload = report.to_dict()
     outdir = Path(args.out)
     _write_manifest(outdir, argv, args.seed, parse_config(text))
-    (outdir / "audit_report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    encoded = _write_json(outdir / "audit_report.json", report.to_dict())
     verdict = "PASS" if report.overall else "FAIL"
     _emit(
         args,
-        payload,
+        encoded,
         f"audit {verdict}: {len(report.violations)} violation(s), "
         f"{len(report.warnings)} warning(s); report in {outdir / 'audit_report.json'}",
     )
@@ -247,12 +259,12 @@ def _cmd_simulate(args, argv) -> int:
     status = f"blew up at step {ts.blowup_step}" if ts.blown_up else f"reached t={ts.final_t:g}"
     _emit(
         args,
-        {
+        json.dumps({
             "final_t": ts.final_t,
             "blown_up": ts.blown_up,
             "blowup_step": ts.blowup_step,
             "min_per_component": ts.diagnostics[-1, :, 0].tolist(),
-        },
+        }),
         f"simulate: {status}; diagnostics in {csv_path}",
     )
     return EXIT_RUNTIME if ts.blown_up else EXIT_OK
@@ -318,7 +330,7 @@ def _cmd_probe(args, argv) -> int:
         )
     outdir = Path(args.out)
     _write_manifest(outdir, argv, None, payload | {"n": grid.n, "box": grid.box})
-    _emit(args, payload, line)
+    _emit(args, json.dumps(payload), line)
     return EXIT_OK
 
 
@@ -353,13 +365,13 @@ def _cmd_counterexample(args, argv) -> int:
     _write_manifest(
         outdir, argv, None, {"kind": args.kind, "eps": eps_list, "n": grid.n, "box": grid.box}
     )
-    (outdir / "violation_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    encoded = _write_json(outdir / "violation_report.json", report.to_dict())
     slope = "n/a" if report.fitted_slope is None else f"{report.fitted_slope:.3f}"
     line = (
         f"counterexample {args.kind}: slope {slope} (expected {kind.expected_slope:g}), "
         f"negativity {'OBSERVED' if report.negativity_observed else 'NOT OBSERVED'}"
     )
-    _emit(args, report.to_dict(), line)
+    _emit(args, encoded, line)
     return EXIT_OK if report.negativity_observed else EXIT_FAIL
 
 
@@ -376,13 +388,13 @@ def _cmd_ode_check(args, argv) -> int:
     cmp = ode_reduction_check(spec.reaction, y0, args.t_end, args.dt)
     outdir = Path(args.out)
     _write_manifest(outdir, argv, None, parse_config(text))
-    (outdir / "ode_check.json").write_text(json.dumps(cmp.to_dict(), indent=2) + "\n")
+    encoded = _write_json(outdir / "ode_check.json", cmp.to_dict())
     ok = cmp.max_deviation <= args.tol and not cmp.blown_up
     line = (
         f"ode-check: max deviation {cmp.max_deviation:.3g} (tol {args.tol:g}), "
         f"first negativity pde={cmp.pde_first_negative} ode={cmp.ode_first_negative}"
     )
-    _emit(args, cmp.to_dict(), line)
+    _emit(args, encoded, line)
     return EXIT_OK if ok else EXIT_FAIL
 
 

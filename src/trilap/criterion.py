@@ -69,21 +69,17 @@ class SignSampler:
 
     def face_points(self, ncomp: int, k: int) -> np.ndarray:
         """Nonnegative sample points with coordinate k pinned to 0, shape (P, ncomp)."""
-        pts = [np.zeros(ncomp)]
-        for j in range(ncomp):
-            if j == k:
-                continue
-            e = np.zeros(ncomp)
-            e[j] = 1.0
-            pts.append(e)
-            for scale in MAGNITUDE_SCALES:
-                pts.append(scale * e)
+        # per free axis j: e_j, then e_j times each scale
+        factors = np.array((1.0, *MAGNITUDE_SCALES))
+        units = np.delete(np.eye(ncomp), k, 0)
+        rows = (factors[:, None] * units[:, None, :]).reshape(-1, ncomp)
+        # one uniform block on [0, scale) per scale, in order: scale * U gives the same
+        # doubles as rng.uniform(0.0, scale), whose array-argument form is slow
         rng = np.random.default_rng((self.seed, k))
-        for scale in MAGNITUDE_SCALES:
-            block = rng.uniform(0.0, scale, size=(self.samples_per_component, ncomp))
-            block[:, k] = 0.0
-            pts.append(block)
-        return np.vstack([np.atleast_2d(p) for p in pts])
+        scales = factors[1:, None, None]
+        draws = scales * rng.random((scales.shape[0], self.samples_per_component, ncomp))
+        draws[..., k] = 0.0
+        return np.vstack([np.zeros((1, ncomp)), rows, draws.reshape(-1, ncomp)])
 
 
 def _offdiag(matrix, matrix_id: str, rule: str, flagged) -> list[Violation]:
@@ -129,10 +125,13 @@ def check_reaction_boundary_sign(
             vals = reaction.evaluate(pts.T)[k]
         finite = np.isfinite(vals)
         # witnesses are built for the flagged samples only, in sample order
-        for i in np.flatnonzero(~finite | (vals > REACTION_SIGN_TOLERANCE)):
-            site = {"component": k, "sample": pts[i].tolist()}
-            if finite[i]:
-                out.append(Violation(RULE_REACTION, site, float(vals[i])))
+        flagged = ~finite | (vals > REACTION_SIGN_TOLERANCE)
+        for sample, value, is_finite in zip(
+            pts[flagged].tolist(), vals[flagged].tolist(), finite[flagged].tolist()
+        ):
+            site = {"component": k, "sample": sample}
+            if is_finite:
+                out.append(Violation(RULE_REACTION, site, value))
             else:
                 out.append(Violation(RULE_REACTION_INDETERMINATE, site, float("nan")))
     return out

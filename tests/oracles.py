@@ -58,6 +58,54 @@ def polynomial_reaction_full(reaction, values):
     return out
 
 
+def face_points_loop(sampler, ncomp, k):
+    """SignSampler.face_points as first written: one row per list entry, one draw per scale.
+
+    The origin, then per free axis j the unit vector e_j and each scaled
+    e_j, then per scale a uniform block with column k zeroed.
+    """
+    from trilap.criterion import MAGNITUDE_SCALES
+
+    pts = [np.zeros(ncomp)]
+    for j in range(ncomp):
+        if j == k:
+            continue
+        e = np.zeros(ncomp)
+        e[j] = 1.0
+        pts.append(e)
+        for scale in MAGNITUDE_SCALES:
+            pts.append(scale * e)
+    rng = np.random.default_rng((sampler.seed, k))
+    for scale in MAGNITUDE_SCALES:
+        block = rng.uniform(0.0, scale, size=(sampler.samples_per_component, ncomp))
+        block[:, k] = 0.0
+        pts.append(block)
+    return np.vstack([np.atleast_2d(p) for p in pts])
+
+
+def reaction_boundary_sign_flagged_loop(reaction, ncomp, sampler):
+    """The boundary sign check with one witness indexed out per flagged sample.
+
+    Samples come from `face_points_loop`; each flagged index i builds its
+    site from pts[i] and its value from vals[i], in sample order.
+    """
+    from trilap.core import Violation
+
+    out = []
+    for k in range(ncomp):
+        pts = face_points_loop(sampler, ncomp, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = reaction.evaluate(pts.T)[k]
+        finite = np.isfinite(vals)
+        for i in np.flatnonzero(~finite | (vals > 1e-12)):
+            site = {"component": k, "sample": pts[i].tolist()}
+            if finite[i]:
+                out.append(Violation("reaction-sign", site, float(vals[i])))
+            else:
+                out.append(Violation("reaction-indeterminate", site, float("nan")))
+    return out
+
+
 def reaction_boundary_sign_per_sample(reaction, ncomp, sampler):
     """The boundary sign check with a witness built for every face sample.
 

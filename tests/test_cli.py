@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilap
+from trilap import Grid, audit, load_system
 from trilap.cli import main
+from trilap.criterion import SignSampler
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -358,6 +360,54 @@ def test_ode_check_logistic(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["max_deviation"] <= 1e-8
     assert (tmp_path / "ode_check.json").exists()
+
+
+FRESH_MAIN = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
+    "sys.exit(trilap.cli.main(sys.argv[2:]))"
+)
+
+
+def test_parser_is_built_once_and_reused_calls_match_fresh_processes(tmp_path, capsys):
+    from trilap.cli import _build_parser
+
+    src = str(Path(trilap.__file__).resolve().parent.parent)
+    config, out = str(CONFIGS / "coupled_diffusion.json"), str(tmp_path / "o")
+    calls = [["audit", config, "--out", out, "--json"], ["audit", config, "--out", out],
+             ["audit", config, "--out", out, "--samples", "0"],
+             ["audit", config, "--out", out, "--json"]]
+    _build_parser.cache_clear()
+    for argv in calls:
+        code, stdout, stderr = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-c", FRESH_MAIN, src, *argv],
+                               capture_output=True, text=True)
+        assert (code, stdout, stderr) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_written_report_is_the_json_stdout(tmp_path, capsys):
+    from trilap.probes import DiffusionViolation, ode_reduction_check, run_violation_experiment
+
+    spec = load_system((CONFIGS / "coupled_diffusion.json").read_text())
+    logistic = load_system((CONFIGS / "diagonal_logistic.json").read_text())
+    cases = [
+        (["audit", str(CONFIGS / "coupled_diffusion.json")], "audit_report.json",
+         audit(spec, SignSampler()).to_dict()),
+        (["counterexample", "--kind", "diffusion", "--d", "1", "--n", "64"],
+         "violation_report.json",
+         run_violation_experiment(DiffusionViolation(k=0, j=1, a=1.0), [1.0, 0.5, 0.25],
+                                  Grid(d=1, n=64, box=4.0), t_probe=None).to_dict()),
+        (["ode-check", str(CONFIGS / "diagonal_logistic.json")], "ode_check.json",
+         ode_reduction_check(logistic.reaction, np.ones(2), 1.0, 1.0 / 128.0).to_dict()),
+    ]
+    for i, (argv, name, payload) in enumerate(cases):
+        out = tmp_path / str(i)
+        code, stdout, err = run_cli([*argv, "--out", str(out), "--json"], capsys)
+        assert code in (0, 2), err
+        text = (out / name).read_text()
+        assert text == stdout and text.count("\n") == 1
+        assert json.loads(text) == payload
+        assert (out / "manifest.json").read_text().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ from trilap.criterion import (
 )
 
 from conftest import zero_transport
-from oracles import reaction_boundary_sign_per_sample
+from oracles import (
+    face_points_loop,
+    reaction_boundary_sign_flagged_loop,
+    reaction_boundary_sign_per_sample,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,3 +232,25 @@ def test_reaction_sign_matches_per_sample_oracle_on_flagged_samples(seed):
     # some sampled witnesses overflow in both terms, so their value is NaN, not inf
     assert any(min(v.site["sample"][1:]) > 6.0
                for v in got if v.rule == RULE_REACTION_INDETERMINATE)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_face_points_match_loop_oracle_bytes(seed):
+    for ncomp in range(1, 8):
+        for k in range(ncomp):
+            sampler = SignSampler(samples_per_component=16, seed=seed)
+            got = sampler.face_points(ncomp, k)
+            want = face_points_loop(sampler, ncomp, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (ncomp, k)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reaction_sign_matches_flagged_loop_oracle(seed):
+    sampler = SignSampler(seed=seed)
+    overflow = PolynomialReaction((((1.0, (0, 400, 0)),), (), ()))
+    specs = [load_system(c.read_text()) for c in sorted(CONFIGS.glob("*.json"))]
+    cases = [(spec.reaction, spec.ncomp) for spec in specs] + [(overflow, 3)]
+    for reaction, ncomp in cases:
+        got = check_reaction_boundary_sign(reaction, ncomp, sampler)
+        assert _rows(got) == _rows(reaction_boundary_sign_flagged_loop(reaction, ncomp, sampler))
+    assert RULE_REACTION_INDETERMINATE in {v.rule for v in got}
