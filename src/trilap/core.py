@@ -233,11 +233,12 @@ class Field:
 class Reaction:
     """Pointwise interaction term F; the right-hand side subtracts it."""
 
-    kind = "abstract"
-
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Evaluate F componentwise; values has shape (ncomp, ...)."""
         raise NotImplementedError
+
+    def linear_matrix(self, ncomp: int) -> np.ndarray | None:
+        """Read-only N x N L with F(u) = L u exactly, or None (the default: not linear)."""
 
     def validate(self, ncomp: int) -> None:
         raise NotImplementedError
@@ -248,10 +249,11 @@ class Reaction:
 
 @dataclass(frozen=True)
 class ZeroReaction(Reaction):
-    kind = "zero"
-
     def evaluate(self, values):
         return np.zeros_like(values)
+
+    def linear_matrix(self, ncomp):
+        return _readonly(np.zeros((ncomp, ncomp)))
 
     def validate(self, ncomp):
         pass
@@ -265,13 +267,15 @@ class LinearReaction(Reaction):
     """F(u) = M u for a constant square matrix M."""
 
     matrix: np.ndarray
-    kind = "linear"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix, name="reaction.L"))
 
     def evaluate(self, values):
         return np.einsum("kj,j...->k...", self.matrix, values)
+
+    def linear_matrix(self, ncomp):
+        return self.matrix
 
     def validate(self, ncomp):
         as_square_matrix(self.matrix, side=ncomp, name="reaction.L")
@@ -285,7 +289,6 @@ class PolynomialReaction(Reaction):
     """Per-component sums of monomials coeff * prod_l u_l**e_l."""
 
     terms: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
-    kind = "polynomial"
 
     def __post_init__(self):
         norm = tuple(
@@ -311,6 +314,16 @@ class PolynomialReaction(Reaction):
                             term = term * (values[l] if e == 1 else values[l] ** e)
                     out[k] += term
         return out
+
+    def linear_matrix(self, ncomp):
+        """L when every term has degree 1 (equal exponents add); else None, even for 0 * u^2."""
+        mat = np.zeros((ncomp, ncomp))
+        for k, comp in enumerate(self.terms):
+            for coeff, expo in comp:
+                if sum(expo) != 1:
+                    return None
+                mat[k, expo.index(1)] += coeff
+        return _readonly(mat)
 
     def validate(self, ncomp):
         if len(self.terms) != ncomp:

@@ -4,8 +4,8 @@ The linear part of the system has the per-mode symbol
 
     M(xi) = -|xi|^6 * D + i * sum_j xi_j * T[j]          (N x N, complex)
 
-minus L when the reaction is linear (F = L u), which the propagators fold
-in.  `symbol` is the one place it is assembled.  It takes the |xi|^6 and
+minus L when F = L u exactly (Reaction.linear_matrix), which the propagators
+fold in.  `symbol` is the one place it is assembled.  It takes the |xi|^6 and
 first-derivative meshes as arguments, so it serves both spectral layouts:
 the real half spectrum (the rfftn layout, Grid.half_* meshes) that the
 stepper carries, and the full complex DFT (np.fft.fftn, Grid.k_sixth /
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, Grid, LinearReaction, SystemSpec
+from .core import DimensionMismatchError, Grid, SystemSpec
 
 __all__ = [
     "ModePropagator",
@@ -221,8 +221,8 @@ class ModePropagator:
 def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     """Precompute exp(dt*M(xi)) for every half-spectrum mode.
 
-    A linear reaction F = L u is part of the linear flow, so L is folded
-    in (M - L); zero and polynomial reactions are left to the caller.
+    When F = L u exactly (Reaction.linear_matrix is not None), L is part of
+    the linear flow and is folded in (M - L); other reactions are the caller's.
     dt = 0 yields the identity on every mode.  Raises
     PropagatorOverflowError if any exponential entry is non-finite, which
     signals dt * |xi|^6 beyond floating-point range.
@@ -231,7 +231,8 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
+    lin = spec.reaction.linear_matrix(spec.ncomp)
+    folded = () if lin is None else (lin,)
     if _decoupled(spec, folded):
         with np.errstate(over="ignore", invalid="ignore"):
             exps = np.exp(dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded))

@@ -1,9 +1,9 @@
 """Time integration of the sixth-order reaction-diffusion-transport system.
 
-Zero and linear reactions are advanced exactly: one step is the per-mode
-matrix exponential of the full (constant-coefficient) symbol, so the only
-error is roundoff.  Polynomial reactions use the integrating-factor
-classical RK4 scheme on the transformed variable v = exp(-t*M) u_hat:
+Exactly linear reactions F = L u (Reaction.linear_matrix: zero, linear, and
+polynomials of degree-1 terms only) are advanced exactly: one step is the
+per-mode exponential of the full symbol with L folded in, so the only error
+is roundoff.  Others use integrating-factor RK4 on v = exp(-t*M) u_hat:
 
     N1 = N(c)                       N(c) = -fft(F(ifft(c))), dealiased
     u2 = E2 (c + dt/2 N1)           E  = exp(dt M),  E2 = exp(dt/2 M)
@@ -142,8 +142,8 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     """Largest dt dividing t_end with max|xi|^6 * dt * ||D||_2 <= 700.
 
     The propagator is exact at any dt, so this guards the exponential's
-    floating-point range rather than accuracy; polynomial reactions may
-    need a smaller dt for the RK4 stages.
+    floating-point range rather than accuracy; reactions that are not
+    exactly linear may need a smaller dt for the RK4 stages.
     """
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be positive and finite, got {t_end}")
@@ -205,7 +205,7 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         return fft.irfftn(c, s=grid.shape, axes=axes)
 
     coeffs = fft.rfftn(u0.values, axes=axes)
-    if spec.reaction.kind in ("zero", "linear"):
+    if spec.reaction.linear_matrix(spec.ncomp) is not None:
         prop = _propagator(spec, grid, dt)
         values = None  # a linear step reads only the spectrum
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from trilap import LinearReaction
+
 
 def mode_exponential_step(spec, grid, values, dt):
     """One exact linear step via per-mode eigendecomposition, L folded in if linear.
@@ -20,7 +22,7 @@ def mode_exponential_step(spec, grid, values, dt):
     symbol = -k6.reshape(-1, 1, 1) * np.asarray(spec.diffusion)[None].astype(complex)
     for dm, g in zip(dmesh, spec.transport):
         symbol = symbol + 1j * dm.reshape(-1, 1, 1) * np.asarray(g)[None]
-    if spec.reaction.kind == "linear":
+    if isinstance(spec.reaction, LinearReaction):
         symbol = symbol - np.asarray(spec.reaction.matrix)[None]
     w, v = np.linalg.eig(dt * symbol)
     expd = v @ (np.exp(w)[..., None] * np.linalg.inv(v))

@@ -158,6 +158,16 @@ def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
     assert manifest["config"]["box"] == pytest.approx(2.2 * 32 / 128)
 
 
+def test_counterexample_reaction_runs_at_d3(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        ["counterexample", "--kind", "reaction", "--d", "3", "--n", "32", "--box", "2.2",
+         "--out", str(tmp_path), "--json"], capsys)
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["eps"] == [1.0, 0.5, 0.25] and payload["dropped"] == []
+    assert payload["negativity_observed"] is True
+
+
 @pytest.mark.parametrize("command,patch,field", [
     ("audit", {"d": "x"}, "'d'"),
     ("simulate", {"d": "x"}, "'d'"),
@@ -360,6 +370,22 @@ def test_ode_check_logistic(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["max_deviation"] <= 1e-8
     assert (tmp_path / "ode_check.json").exists()
+
+
+@pytest.mark.parametrize("reaction", [
+    {"kind": "linear", "L": [[-5.0, 0.0], [0.0, -5.0]]},
+    {"kind": "polynomial", "terms": [[{"coeff": -5.0, "exponents": [1, 0]}],
+                                     [{"coeff": -5.0, "exponents": [0, 1]}]]},
+])
+def test_ode_check_exactly_linear_reaction_passes_with_default_flags(tmp_path, capsys, reaction):
+    # F = -5u is stepped exactly, so the reference must not carry RK4's 1.4e-5 error
+    cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | {"reaction": reaction}
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = run_cli(["ode-check", str(path), "--out", str(tmp_path / "o"), "--json"],
+                                capsys)
+    assert code == 0, err
+    assert json.loads(stdout)["max_deviation"] <= 1e-10
 
 
 FRESH_MAIN = (

@@ -323,6 +323,36 @@ def test_reaction_evaluations():
     assert logistic.evaluate(np.full((1, 1), 3.0))[0, 0] == pytest.approx(6.0)
 
 
+def test_linear_matrix_decides_exact_linearity():
+    assert np.array_equal(ZeroReaction().linear_matrix(2), np.zeros((2, 2)))
+    L = [[0.5, -1.0], [0.0, 2.0]]
+    assert np.array_equal(LinearReaction(L).linear_matrix(2), L)
+    # equal exponents merge by adding their coefficients
+    merged = PolynomialReaction((((1.5, (0, 1)), (2.0, (1, 0)), (-0.5, (0, 1))), ()))
+    assert np.array_equal(merged.linear_matrix(2), [[2.0, 1.0], [0.0, 0.0]])
+    empty = PolynomialReaction(((), ()))
+    assert np.array_equal(empty.linear_matrix(2), np.zeros((2, 2)))
+    for reaction in (ZeroReaction(), LinearReaction(L), merged, empty):
+        assert not reaction.linear_matrix(2).flags.writeable
+    # any term of degree 0 or >= 2 rules linearity out, whatever its coefficient
+    for term in ((1.0, (0, 0)), (0.0, (0, 0)), (1.0, (1, 1)), (1.0, (0, 2)), (0.0, (2, 0))):
+        mixed = PolynomialReaction((((1.0, (1, 0)),), ((-1.0, (0, 1)), term)))
+        assert mixed.linear_matrix(2) is None, term
+
+
+def test_linear_matrix_of_a_degree_one_polynomial_reproduces_its_evaluation():
+    rng = np.random.default_rng(31)
+    terms = tuple(
+        tuple((float(rng.uniform(-2, 2)), tuple(int(c == l) for c in range(3)))
+              for l in rng.integers(0, 3, 4))
+        for _ in range(3)
+    )
+    reaction = PolynomialReaction(terms)
+    values = rng.uniform(-3, 3, (3, 5, 7))
+    got = np.einsum("kj,j...->k...", reaction.linear_matrix(3), values)
+    assert np.abs(got - reaction.evaluate(values)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("ncomp", [1, 2, 3])
 def test_polynomial_evaluation_matches_full_array_oracle(ncomp):
     rng = np.random.default_rng(7 + ncomp)

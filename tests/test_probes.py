@@ -230,9 +230,32 @@ def test_experiment_drops_failing_eps(monkeypatch):
 
 
 def test_experiment_builds_one_propagator_for_all_eps(build_calls):
-    rep = run_violation_experiment(DiffusionViolation(), (1.0, 0.5, 0.25), Grid(1, 512, 4.0))
-    assert rep.eps == (1.0, 0.5, 0.25)
-    assert len(build_calls) == 1
+    # F_k = u_j is exactly linear, so the reaction kind also takes one exact step
+    for kind in (DiffusionViolation(), ReactionViolation()):
+        rep = run_violation_experiment(kind, (1.0, 0.5, 0.25), Grid(1, 512, 4.0))
+        assert rep.eps == (1.0, 0.5, 0.25)
+        assert len(build_calls) == 1, kind.label
+        build_calls.clear()
+
+
+# rates and minima of ReactionViolation at eps 1, 0.5, 0.25, as computed by
+# 16 IF-RK4 steps per eps before F_k = u_j was stepped exactly
+REACTION_EXPERIMENT = {
+    1: (Grid(1, 512, 4.0), -0.9999999999999954,
+        (-8.689651852649331e-06, -6.978648475893472e-06, -4.180437833636777e-06)),
+    2: (probe_grid(2), -0.999999999999989,
+        (-2.5378097360092786e-07, -2.0742565591024015e-07, -7.939316141419412e-08)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(REACTION_EXPERIMENT))
+def test_reaction_experiment_keeps_its_values(d):
+    grid, rate, minima = REACTION_EXPERIMENT[d]
+    rep = run_violation_experiment(ReactionViolation(), (1.0, 0.5, 0.25), grid)
+    assert rep.eps == (1.0, 0.5, 0.25) and not rep.dropped
+    assert rep.initial_rate_at_origin == pytest.approx((rate,) * 3, rel=1e-12, abs=0)
+    assert rep.min_after_t_probe == pytest.approx(minima, rel=1e-12, abs=0)
+    assert rep.negativity_observed
 
 
 def test_fit_power_law():
@@ -276,6 +299,18 @@ def test_ode_reduction_violating_reaction_goes_negative_in_both():
     assert cmp.max_deviation <= 1e-8
     assert cmp.pde_first_negative is not None and cmp.ode_first_negative is not None
     assert cmp.negativity_times_agree
+
+
+@pytest.mark.parametrize("reaction", [
+    LinearReaction([[-5.0, 0.0], [0.0, -5.0]]),
+    PolynomialReaction((((-5.0, (1, 0)),), ((-5.0, (0, 1)),))),
+])
+def test_ode_reduction_of_an_exactly_linear_reaction_has_an_exact_reference(reaction):
+    # u' = 5u: RK4 at dt 1/128 misses e^5 by 1.4e-5, while the PDE step is exact
+    cmp = ode_reduction_check(reaction, np.array([1.0, 1.0]), 1.0, 1 / 128)
+    assert cmp.max_deviation <= 1e-10
+    assert cmp.ode_values[-1] == pytest.approx([math.exp(5.0)] * 2, rel=1e-14)
+    assert not cmp.blown_up and cmp.negativity_times_agree
 
 
 def test_ode_reduction_rejects_negative_start():

@@ -201,10 +201,9 @@ def test_blowup_flagged_with_partial_series():
         assert len(ts.times) == len(ts.diagnostics)
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-def test_if_rk4_transform_count(monkeypatch, stride):
-    # one inverse transform per stage and state: stage 1 reuses the samples
-    # that the previous step's blow-up check and record computed
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Counts of the scipy.fft.rfftn and irfftn calls made during the test."""
     import scipy.fft
 
     calls = {"rfftn": 0, "irfftn": 0}
@@ -216,6 +215,13 @@ def test_if_rk4_transform_count(monkeypatch, stride):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_if_rk4_transform_count(transform_calls, stride):
+    # one inverse transform per stage and state: stage 1 reuses the samples
+    # that the previous step's blow-up check and record computed
     grid = Grid(d=2, n=16, box=16.0)
     spec = SystemSpec(2, 1, [[1.0]], zero_transport(2, 1), LOGISTIC)
     x, y = grid.coord_mesh
@@ -223,7 +229,48 @@ def test_if_rk4_transform_count(monkeypatch, stride):
     n = 9
     ts = run(spec, u0, RunConfig(t_end=n / 64, dt=1 / 64, output_stride=stride))
     assert len(ts.times) == 1 + -(-n // stride) and not ts.blown_up
-    assert calls == {"rfftn": 4 * n + 1, "irfftn": 4 * n + 1}
+    assert transform_calls == {"rfftn": 4 * n + 1, "irfftn": 4 * n + 1}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_degree_one_polynomial_steps_like_its_linear_twin(rng, transform_calls, d, coupled):
+    mats = [rng.uniform(-1, 1, (2, 2)) for _ in range(d + 1)]
+    diffusion = pd_diffusion(rng, 2)
+    if not coupled:
+        mats = [np.diag(np.diag(m)) for m in mats]
+        diffusion = np.diag(np.diag(diffusion))
+    L = mats[0]
+    terms = tuple(
+        tuple((float(L[k, l]), (int(l == 0), int(l == 1))) for l in range(2)) for k in range(2)
+    )
+    grid = Grid(d=d, n=16 if d < 3 else 8, box=8.0)
+    u0 = Field(grid, rng.standard_normal((2,) + grid.shape))
+    n = 4
+    rc = RunConfig(t_end=n * 1e-3, dt=1e-3)
+    linear = run(SystemSpec(d, 2, diffusion, tuple(mats[1:]), LinearReaction(L)), u0, rc)
+    calls = dict(transform_calls)
+    poly = run(SystemSpec(d, 2, diffusion, tuple(mats[1:]), PolynomialReaction(terms)), u0, rc)
+    # the polynomial takes the exact step as well: one forward transform, one inverse per step
+    assert {k: transform_calls[k] - calls[k] for k in calls} == {"rfftn": 1, "irfftn": n}
+    assert np.abs(poly.final_state.values - linear.final_state.values).max() <= 1e-12
+    assert np.abs(poly.diagnostics - linear.diagnostics).max() <= 1e-12
+
+
+@pytest.mark.parametrize("term", [(0.5, (0, 0)), (0.0, (0, 0)), (-1.0, (1, 1)), (0.0, (2, 0))])
+def test_polynomial_with_a_term_not_of_degree_one_takes_if_rk4(transform_calls, term):
+    grid = Grid(d=1, n=16, box=16.0)
+    reaction = PolynomialReaction((((1.0, (0, 1)), term), ((-0.5, (1, 0)),)))
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2), reaction)
+    x = grid.axis_coords
+    u0 = Field(grid, np.stack([0.5 + 0.1 * np.cos(np.pi * x / 8), 0.3 + 0.1 * np.sin(np.pi * x / 8)]))
+    n = 5
+    rc = RunConfig(t_end=n / 64, dt=1 / 64)
+    first = run(spec, u0, rc)
+    assert transform_calls == {"rfftn": 4 * n + 1, "irfftn": 4 * n + 1}
+    again = run(spec, u0, rc)
+    assert np.array_equal(first.diagnostics, again.diagnostics)
+    assert np.array_equal(first.final_state.values, again.final_state.values)
 
 
 @pytest.mark.parametrize("stride", [1, 3, 8])
