@@ -256,17 +256,41 @@ def _rate_symbol(spec: SystemSpec, grid: Grid) -> np.ndarray:
     return symbol(spec, grid.k_sixth, grid.deriv_mesh)
 
 
-def _initial_rate(spec: SystemSpec, m: np.ndarray, u0: Field) -> Field:
-    """initial_rate_field with the symbol `m` of `_rate_symbol` already built."""
+def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
+    """Right-hand side at t = 0: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0)."""
     grid = u0.grid
     axes = tuple(range(1, grid.d + 1))
+    m = _rate_symbol(spec, grid)
     lin = np.fft.ifftn(apply_modes(m, np.fft.fftn(u0.values, axes=axes)), axes=axes).real
     return Field(grid, lin - spec.reaction.evaluate(u0.values))
 
 
-def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
-    """Right-hand side at t = 0: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0)."""
-    return _initial_rate(spec, _rate_symbol(spec, u0.grid), u0)
+def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float:
+    """Component k of `initial_rate_field` at the origin sample, bit for bit.
+
+    `m` is the symbol of `_rate_symbol`.  Only components with a nonzero bit
+    are transformed (the fftn of +0.0 data is +0.0), row k of `apply_modes`
+    is formed in its order, and the inverse runs last axis first, as ifftn
+    does, keeping the origin of each transformed axis: the same lines,
+    each transformed alone, give the same bits (README "Numerical notes").
+    """
+    grid = u0.grid
+    axes = tuple(range(grid.d))
+    coeffs = [
+        np.fft.fftn(v, axes=axes) if v.view(np.uint64).any() else np.zeros(grid.shape, complex)
+        for v in u0.values
+    ]
+    if m.ndim == grid.d + 1:  # diagonal symbol (N, *mesh)
+        line = m[k] * coeffs[k]
+    else:
+        line = m[..., k, 0] * coeffs[0]
+        for j in range(1, spec.ncomp):
+            line += m[..., k, j] * coeffs[j]
+    for _ in axes:
+        line = np.fft.ifft(line)[..., grid.n // 2]
+    # the reaction is elementwise, so evaluating it at the origin sample alone keeps its bits
+    at_origin = u0.values[(slice(None),) + grid.origin_index][:, np.newaxis]
+    return float(line.real - spec.reaction.evaluate(at_origin)[k, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +479,7 @@ def run_violation_experiment(
             u0_vals = np.zeros((spec.ncomp,) + grid.shape)
             u0_vals[kind.j] = probe.values[0]
             u0 = Field(grid, u0_vals)
-            rate = _initial_rate(spec, m, u0)
-            rate_origin = float(rate.values[(kind.k,) + grid.origin_index])
+            rate_origin = _rate_at_origin(spec, m, u0, kind.k)
             ts = run(spec, u0, rc)
             if ts.blown_up:
                 dropped.append((float(eps), f"blow-up at step {ts.blowup_step}"))

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -145,17 +146,22 @@ def test_counterexample_without_negativity_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("kind,d", [("diffusion", 2), ("transport", 3)])
+@pytest.mark.parametrize("kind,d", [("diffusion", 2), ("diffusion", 3), ("transport", 2),
+                                    ("transport", 3)])
 def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
+    # box 2.2 holds the eps = 1 probe; without --box, n = 32 shrinks the box to 0.55
     code, stdout, err = run_cli(
-        ["counterexample", "--kind", kind, "--d", str(d), "--n", "32", "--eps", "1",
-         "--out", str(tmp_path), "--json"], capsys)
-    assert code in (0, 2), err
+        ["counterexample", "--kind", kind, "--d", str(d), "--n", "32", "--box", "2.2",
+         "--eps", "1", "--out", str(tmp_path), "--json"], capsys)
+    assert code == 0, err
     payload = json.loads(stdout)
-    assert code == (0 if payload["negativity_observed"] else 2)
+    assert payload["eps"] == [1.0] and payload["dropped"] == []
+    rate = payload["initial_rate_at_origin"][0]
+    assert math.isfinite(rate) and rate < 0
+    assert payload["negativity_observed"] is True
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["n"] == 32
-    assert manifest["config"]["box"] == pytest.approx(2.2 * 32 / 128)
+    assert manifest["config"]["box"] == 2.2
 
 
 def test_counterexample_reaction_runs_at_d3(tmp_path, capsys):

@@ -21,6 +21,8 @@ from trilap.probes import (
     DiffusionViolation,
     ReactionViolation,
     TransportViolation,
+    _rate_at_origin,
+    _rate_symbol,
     axis_derivative_at_origin,
     fit_power_law,
     lap3_at_origin,
@@ -28,6 +30,8 @@ from trilap.probes import (
     probe_grid,
     rk4_ode,
 )
+
+from conftest import pd_diffusion
 
 LN2 = math.log(2.0)
 
@@ -168,6 +172,59 @@ def test_initial_rate_negative_under_forbidden_coupling():
     vals[1] = build_diffusion_probe(g, 1.0, kind.base_mollifier(1)).values[0]
     rate = initial_rate_field(spec, Field(g, vals))
     assert rate.values[(0,) + g.origin_index] < -0.5
+
+
+# grids with room for the eps = 1 probes of every kind, small enough for d = 3
+RATE_GRIDS = {1: Grid(1, 256, 6.0), 2: Grid(2, 64, 2.2), 3: Grid(3, 32, 2.2)}
+
+
+def _rate_cases():
+    for d in (1, 2, 3):
+        yield d, DiffusionViolation(a=0.7)
+        yield from ((d, TransportViolation(axis=axis, gamma=-1.3)) for axis in range(d))
+        yield d, ReactionViolation(k=1, j=0)
+
+
+def _assert_rate_bits_match_the_field(spec, u0, k):
+    m = _rate_symbol(spec, u0.grid)
+    field = initial_rate_field(spec, u0).values[(k,) + u0.grid.origin_index]
+    fast = _rate_at_origin(spec, m, u0, k)
+    assert np.float64(fast).tobytes() == np.float64(field).tobytes(), (fast, field)
+
+
+@pytest.mark.parametrize("d,kind", list(_rate_cases()))
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_rate_at_origin_is_the_rate_field_at_the_origin_bit_for_bit(d, kind, eps):
+    grid = RATE_GRIDS[d]
+    spec = kind.system(d)
+    vals = np.zeros((spec.ncomp,) + grid.shape)
+    vals[kind.j] = kind.probe(grid, eps, kind.base_mollifier(d).scaled(eps)).values[0]
+    _assert_rate_bits_match_the_field(spec, Field(grid, vals), kind.k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [True, False])
+@pytest.mark.parametrize("negative_zero", [False, True])
+def test_rate_at_origin_matches_with_every_component_and_a_reaction(d, coupled, negative_zero):
+    rng = np.random.default_rng(100 * d + 10 * coupled + negative_zero)
+    grid, n = RATE_GRIDS[d], 3
+    if coupled:
+        diffusion = pd_diffusion(rng, n)
+        transport = tuple(rng.uniform(-1.0, 1.0, (n, n)) for _ in range(d))
+    else:
+        diffusion = np.diag(rng.uniform(0.5, 2.0, n))
+        transport = tuple(np.diag(rng.uniform(-1.0, 1.0, n)) for _ in range(d))
+    reaction = PolynomialReaction((
+        ((0.4, (2, 0, 0)), (-1.1, (1, 0, 1))),
+        ((2.5, (0, 3, 0)), (-0.3, (1, 1, 1))),
+        ((0.7, (0, 0, 1)), (-1.9, (2, 0, 1)), (0.2, (0, 2, 2))),
+    ))
+    spec = SystemSpec(d, n, diffusion, transport, reaction)
+    vals = rng.standard_normal((n,) + grid.shape)
+    if negative_zero:
+        vals[1] = -0.0  # no nonzero value, but not +0.0 data: still transformed
+    for k in range(n):
+        _assert_rate_bits_match_the_field(spec, Field(grid, vals), k)
 
 
 def test_violation_kind_validation():
