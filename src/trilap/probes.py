@@ -251,9 +251,9 @@ def axis_derivative_at_origin(u: Field, axis: int, component: int = 0) -> float:
     return _at_origin(u, component, 1j * u.grid.half_deriv_mesh[axis])
 
 
-def _rate_symbol(spec: SystemSpec, grid: Grid) -> np.ndarray:
+def _rate_symbol(spec: SystemSpec, grid: Grid, row=None) -> np.ndarray:
     # full layout on purpose: rfftn moves this |xi|^6-amplified rate by 2e-4 relative (d=2, n=256)
-    return symbol(spec, grid.k_sixth, grid.deriv_mesh)
+    return symbol(spec, grid.k_sixth, grid.deriv_mesh, row=row)
 
 
 def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
@@ -268,11 +268,12 @@ def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
 def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float:
     """Component k of `initial_rate_field` at the origin sample, bit for bit.
 
-    `m` is the symbol of `_rate_symbol`.  Only components with a nonzero bit
-    are transformed (the fftn of +0.0 data is +0.0), row k of `apply_modes`
-    is formed in its order, and the inverse runs last axis first, as ifftn
-    does, keeping the origin of each transformed axis: the same lines,
-    each transformed alone, give the same bits (README "Numerical notes").
+    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  Only
+    components with a nonzero bit are transformed (the fftn of +0.0 data is
+    +0.0), row k of `apply_modes` is formed in its order, and the inverse
+    runs last axis first, as ifftn does, keeping the origin of each
+    transformed axis: the same lines, each transformed alone, give the same
+    bits (README "Numerical notes").
     """
     grid = u0.grid
     axes = tuple(range(grid.d))
@@ -280,12 +281,12 @@ def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float
         np.fft.fftn(v, axes=axes) if v.view(np.uint64).any() else np.zeros(grid.shape, complex)
         for v in u0.values
     ]
-    if m.ndim == grid.d + 1:  # diagonal symbol (N, *mesh)
-        line = m[k] * coeffs[k]
-    else:
-        line = m[..., k, 0] * coeffs[0]
+    if m.ndim == grid.d + 1:  # diagonal symbol (1, *mesh)
+        line = m[0] * coeffs[k]
+    else:  # one row per mode (*mesh, 1, N)
+        line = m[..., 0, 0] * coeffs[0]
         for j in range(1, spec.ncomp):
-            line += m[..., k, j] * coeffs[j]
+            line += m[..., 0, j] * coeffs[j]
     for _ in axes:
         line = np.fft.ifft(line)[..., grid.n // 2]
     # the reaction is elementwise, so evaluating it at the origin sample alone keeps its bits
@@ -470,7 +471,7 @@ def run_violation_experiment(
     if t_probe is None:
         t_probe = default_t_probe(spec, grid)
     rc = RunConfig(t_end=t_probe, dt=t_probe)
-    m = _rate_symbol(spec, grid)
+    m = _rate_symbol(spec, grid, kind.k)
 
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:

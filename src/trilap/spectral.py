@@ -31,10 +31,19 @@ that differ in the last bit, and merging those would change the table.
 The exponential holds its stack component-major, (N, N, M), and forms
 every product as N^3 elementwise multiply-adds over the M matrices (`_mm`),
 where a batched matmul would make one tiny BLAS call per matrix; tables
-agree with that to rounding, not bit for bit.  A matrix leaves the
-squaring loop once its running square is exactly zero, which high modes
-reach by underflow (exp(-dt |xi|^6) is below the smallest double): 0 * 0
-= 0, so the squarings it skips could not have changed it.
+agree with that to rounding, not bit for bit.  Most high modes of a
+stiff symbol never reach the Pade: ||exp(A)||_2 <= exp(mu_2(A)), where
+mu_2(A) is the largest eigenvalue of the Hermitian part (A + A^H) / 2,
+and Gershgorin's theorem on that part bounds mu_2 from above in a few
+elementwise passes.  A finite matrix whose bound is below -800 has every
+entry of exp(A) below e^-800, under 2^-1075 (ln = -745.13), so each
+rounds to 0 in doubles: it gets exact zeros.  The margin of e^-55 covers
+the Pade's rounding, which returns zeros there too; the skipped entries
+are +0.0 where the Pade could leave -0.0, so tables are equal as numbers
+(np.array_equal), not byte for byte.  Of the matrices that do go through
+it, one leaves the squaring loop once its running square is exactly
+zero, which some modes reach by underflow: 0 * 0 = 0, so the squarings
+it skips could not have changed it.
 Spectra follow the unnormalised forward / 1/n^d inverse convention that
 numpy.fft and scipy.fft share;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
@@ -69,20 +78,24 @@ def _decoupled(spec: SystemSpec, folded) -> bool:
     return all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
 
 
-def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=()) -> np.ndarray:
+def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=None) -> np.ndarray:
     """M(xi) minus every matrix in `folded`, on the modes of the given meshes.
 
     Returns the diagonal, shape (N, *mesh), when D, every T[j] and the
     folded matrices are diagonal; otherwise one N x N matrix per mode,
-    shape (*mesh, N, N).
+    shape (*mesh, N, N).  Given a `row` index, only that row of every
+    matrix is formed, shape (1, *mesh) or (*mesh, 1, N), with the same
+    bits as the full symbol's row.
     """
     if len(deriv_mesh) != spec.d:
         raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
+    rows = slice(None) if row is None else slice(row, row + 1)
     mats = (spec.diffusion, *spec.transport, *folded)
     if _decoupled(spec, folded):
         column = (-1,) + (1,) * k_sixth.ndim
-        mats = [np.diag(m).reshape(column) for m in mats]
+        mats = [np.diag(m)[rows].reshape(column) for m in mats]
     else:
+        mats = [m[rows] for m in mats]
         k_sixth, deriv_mesh = k_sixth[..., None, None], [xi[..., None, None] for xi in deriv_mesh]
     out = -k_sixth * mats[0].astype(complex)
     for xi, g in zip(deriv_mesh, mats[1 : spec.d + 1]):
@@ -146,32 +159,62 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# exp(A) rounds to exact zeros once mu_2(A) is below this: ln 2^-1075 = -745.13,
+# less a margin of e^-55 for the Pade's rounding, which then gives zeros too
+_UNDERFLOW_LOG_NORM = -800.0
+
+
+def _log_norm_bound(a: np.ndarray) -> np.ndarray:
+    """Upper bound on mu_2(A) = lambda_max((A + A^H) / 2), per matrix of a stack (N, N, M).
+
+    Gershgorin's theorem on the Hermitian part: its eigenvalues lie in the
+    union of the discs around Re a_ii of radius sum_{j != i} |a_ij + conj(a_ji)| / 2.
+    """
+    n = a.shape[0]
+    bound = np.full(a.shape[-1], -np.inf)
+    for i in range(n):
+        row = a[i, i].real.copy()
+        for j in range(n):
+            if j != i:
+                row += 0.5 * np.abs(a[i, j] + np.conj(a[j, i]))
+        np.maximum(bound, row, out=bound)
+    return bound
+
+
 def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     """exp of a stack of small square matrices, shape (..., N, N).
 
-    Per matrix: scale by 2^-s so the 1-norm drops below theta_13, apply the
-    order-13 diagonal Pade approximant, square s times.  All stages run
-    batched on the stack held component-major, (N, N, M), so every product
-    is N^3 elementwise multiply-adds over M matrices (`_mm`).  The squaring
-    loop keeps the indices of the matrices still squaring: one leaves when
-    its s squarings are done or its running square is exactly zero, which
-    no later squaring can change (0 * 0 = 0).  NaN and inf entries are
-    nonzero, so a non-finite matrix squares to the end.
+    A finite matrix whose log-norm bound (`_log_norm_bound`) is below
+    `_UNDERFLOW_LOG_NORM` gets exact zeros: ||exp(A)||_2 <= exp(mu_2(A)), so
+    every entry of exp(A) is below e^-800 < 2^-1075 and rounds to 0.  Such
+    matrices (the high modes of a stiff symbol, most of a stack) skip all
+    that follows; the others go through it.  Per matrix: scale by 2^-s so
+    the 1-norm drops below theta_13, apply the order-13 diagonal Pade
+    approximant, square s times.  All stages run batched on the stack held
+    component-major, (N, N, M), so every product is N^3 elementwise
+    multiply-adds over M matrices (`_mm`).  The squaring loop keeps the
+    indices of the matrices still squaring: one leaves when its s squarings
+    are done or its running square is exactly zero, which no later squaring
+    can change (0 * 0 = 0).  A matrix with a NaN or inf entry is never
+    skipped, and its exponential is non-finite.
     """
     ms = np.asarray(ms, dtype=complex)
     n = ms.shape[-1]
-    shape = ms.shape
-    # a copy, scaled in place below: moving the axis of one matrix is only a view
+    out = np.zeros(ms.shape, dtype=complex)
+    # component-major and contiguous: each entry is one vector over the stack
     a = np.moveaxis(ms.reshape(-1, n, n), 0, -1).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = (_log_norm_bound(a) < _UNDERFLOW_LOG_NORM) & np.isfinite(a).all(axis=(0, 1))
+    live = np.flatnonzero(~zero)
+    a = a.take(live, axis=-1)
     norm1 = np.abs(a).sum(axis=0).max(axis=0)
-    with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13))
-    s = np.maximum(s, 0.0).astype(int)
-    a *= 0.5**s
-
     eye = np.eye(n, dtype=complex)[..., None]
     b = _PADE13
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a non-finite matrix gets an inf or NaN s, cast to some int: its result is non-finite anyway
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13))
+        s = np.maximum(s, 0.0).astype(int)
+        a *= 0.5**s
         a2 = _mm(a, a)
         a4 = _mm(a2, a2)
         a6 = _mm(a2, a4)
@@ -194,7 +237,8 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
                 todo, w = todo[stay], w[..., stay]
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
     r[..., norm1 == 0.0] = eye
-    return np.moveaxis(r, -1, 0).reshape(shape)
+    out.reshape(-1, n, n)[live] = np.moveaxis(r, -1, 0)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,9 +299,11 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
         first = order[starts]
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(starts) - 1
-        m = symbol(spec, grid.half_k_sixth.ravel()[first],
-                   [xi.ravel()[first] for xi in grid.half_deriv_mesh], folded)
-        exps = matrix_exp_batch(dt * m)[inverse].reshape(grid.half_shape + m.shape[1:])
+        # an overflow in dt * M leaves a non-finite entry, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = dt * symbol(spec, grid.half_k_sixth.ravel()[first],
+                            [xi.ravel()[first] for xi in grid.half_deriv_mesh], folded)
+        exps = matrix_exp_batch(m)[inverse].reshape(grid.half_shape + m.shape[1:])
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"

@@ -16,6 +16,7 @@ from trilap import (
     build_transport_probe,
     initial_rate_field,
     run_violation_experiment,
+    symbol,
 )
 from trilap.probes import (
     DiffusionViolation,
@@ -186,10 +187,34 @@ def _rate_cases():
 
 
 def _assert_rate_bits_match_the_field(spec, u0, k):
-    m = _rate_symbol(spec, u0.grid)
+    m = _rate_symbol(spec, u0.grid, k)
     field = initial_rate_field(spec, u0).values[(k,) + u0.grid.origin_index]
     fast = _rate_at_origin(spec, m, u0, k)
     assert np.float64(fast).tobytes() == np.float64(field).tobytes(), (fast, field)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
+    # row k comes from the same expression as the whole symbol, entry by entry
+    rng = np.random.default_rng(10 * d + coupled)
+    grid, n = RATE_GRIDS[d], 3
+    if coupled:
+        diffusion = pd_diffusion(rng, n)
+        transport = tuple(rng.uniform(-1.0, 1.0, (n, n)) for _ in range(d))
+    else:
+        diffusion = np.diag(rng.uniform(0.5, 2.0, n))
+        transport = tuple(np.diag(rng.uniform(-1.0, 1.0, n)) for _ in range(d))
+    spec = SystemSpec(d, n, diffusion, transport)
+    full = symbol(spec, grid.k_sixth, grid.deriv_mesh)
+    for k in range(n):
+        row = _rate_symbol(spec, grid, k)
+        if coupled:
+            assert row.shape == grid.shape + (1, n)
+            assert row.tobytes() == full[..., k, :].tobytes()
+        else:
+            assert row.shape == (1,) + grid.shape
+            assert row.tobytes() == full[k].tobytes()
 
 
 @pytest.mark.parametrize("d,kind", list(_rate_cases()))

@@ -18,7 +18,7 @@ from trilap import (
     symbol,
 )
 from trilap import spectral
-from trilap.probes import DiffusionViolation, default_t_probe
+from trilap.probes import DiffusionViolation, TransportViolation, default_t_probe
 
 from conftest import pd_diffusion, zero_transport
 from oracles import matrix_exp_reference
@@ -198,6 +198,22 @@ def test_symbol_half_mesh_and_diagonal_form(rng, d, n):
     assert np.array_equal(symbol(coupled, g.half_k_sixth, g.half_deriv_mesh), full[..., :cut, :, :])
 
 
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8)])
+def test_symbol_row_is_the_row_of_the_full_symbol(rng, d, n):
+    # half mesh, a folded coupling, and the diagonal form: each row keeps its bits
+    g = Grid(d=d, n=n, box=8.0)
+    ncomp = 3
+    spec = SystemSpec(d, ncomp, np.diag(rng.uniform(0.2, 2.0, ncomp)),
+                      tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d)))
+    coupling = rng.uniform(-1.0, 1.0, (ncomp, ncomp))
+    for folded in ((), (coupling,), (np.diag(np.diag(coupling)),)):
+        full = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded)
+        for k in range(ncomp):
+            row = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded, row=k)
+            want = full[k:k + 1] if full.ndim == d + 1 else full[..., k:k + 1, :]
+            assert row.shape == want.shape and row.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 
@@ -305,6 +321,116 @@ def test_squaring_stops_once_a_square_underflows_to_zero(monkeypatch):
     ref = matrix_exp_reference(ms)
     assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     assert np.array_equal(out == 0, ref == 0)
+
+
+def _gershgorin_log_norm(ms):
+    """max_i Re a_ii + sum_{j != i} |a_ij + conj(a_ji)| / 2 for each matrix of (M, N, N)."""
+    n = ms.shape[-1]
+    h = np.abs(ms + np.conj(np.swapaxes(ms, -1, -2))) / 2.0
+    h[:, np.arange(n), np.arange(n)] = 0.0
+    return (np.diagonal(ms, axis1=-2, axis2=-1).real + h.sum(axis=-1)).max(axis=-1)
+
+
+def _near_threshold_stack(n):
+    """N x N matrices whose Gershgorin log-norm bound runs from -900 to -700.
+
+    Normal ones, -c I + i x S with S real symmetric (bound -c exactly), and
+    non-normal ones, -c I + t E with E the nilpotent shift (bound -c + t for
+    N >= 3, -c + t/2 for N = 2).
+    """
+    bounds = np.linspace(-900.0, -700.0, 81)[:, None, None]
+    sym = np.ones((n, n)) - np.eye(n) if n > 1 else np.ones((1, 1))
+    shift = np.eye(n, k=1)
+    reach = {1: 0.0, 2: 0.5}.get(n, 1.0)
+    stacks = [bounds * np.eye(n) + 1j * x * sym for x in (0.0, 3.7, 250.0)]
+    stacks += [(bounds - reach * t) * np.eye(n) + t * shift for t in (1.0, 40.0)]
+    return np.concatenate(stacks).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matrix_exp_near_the_underflow_threshold(monkeypatch, n):
+    # matrices with a bound below -800 get exact zeros without the Pade; on
+    # both sides of the threshold values and zeros match the reference
+    ms = _near_threshold_stack(n)
+    bound = _gershgorin_log_norm(ms)
+    assert bound.min() == pytest.approx(-900.0) and bound.max() == pytest.approx(-700.0)
+    solved = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        solved.append(a.shape[0])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    out = matrix_exp_batch(ms)
+    monkeypatch.undo()
+    ref = matrix_exp_reference(ms)
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(out == 0, ref == 0)
+    assert np.any(ref[bound >= -800.0] == 0) and np.any(ref != 0)
+    assert solved == [np.count_nonzero(bound >= -800.0)]
+    assert np.all(out[bound < -800.0] == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
+    # the benchmark sweep's coupled builds: few distinct symbols escape the
+    # underflow bound, and only those reach the Pade solve
+    if d == 2:
+        kind, g = DiffusionViolation(k=0, j=1, a=1.3), Grid(d=2, n=256, box=4.4)
+    else:
+        kind, g = TransportViolation(k=1, j=0, axis=1, gamma=-1.2), Grid(d=3, n=64, box=2.2)
+    spec = kind.system(d)
+    stacks, solved = [], []
+    real_solve, real_exp = np.linalg.solve, spectral.matrix_exp_batch
+
+    def solve(a, b):
+        solved.append(a.shape[0])
+        return real_solve(a, b)
+
+    def exp(ms):
+        stacks.append((ms, real_exp(ms)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(spectral, "matrix_exp_batch", exp)
+    build_propagator(spec, g, default_t_probe(spec, g))
+    monkeypatch.undo()
+    ((ms, out),) = stacks
+    live = np.count_nonzero(_gershgorin_log_norm(ms) >= -800.0)
+    assert solved == [live]
+    assert live <= {2: 0.03, 3: 0.06}[d] * ms.shape[0]
+    ref = matrix_exp_reference(ms)
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(out == 0, ref == 0)
+
+
+def test_non_finite_matrices_are_never_skipped():
+    # -inf on a diagonal would pass the bound (the -inf row, the others far
+    # below -800); a NaN or inf entry gives NaN as it always did
+    dead = [[-2000.0, 0.5], [0.0, -2000.0]]
+    ms = np.array([
+        [[-np.inf, 0.5], [0.0, -2000.0]],
+        [[-2000.0, np.nan], [0.0, -2000.0]],
+        [[-2000.0, 0.0], [np.inf, -2000.0]],
+        dead,
+    ], dtype=complex)
+    out = matrix_exp_batch(ms)
+    assert np.all(np.isnan(out[:3]))
+    assert np.array_equal(out[3], np.zeros((2, 2))) and not np.signbit(out[3].view(float)).any()
+    # through the build: dt * M overflows to -inf on a diagonal, to inf off it, or
+    # to NaN (dt times an inf imaginary part), and the build reports it
+    g = Grid(d=1, n=16, box=8.0)
+    overflowing = [
+        SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
+                   LinearReaction([[1e308, 0.5], [0.0, 1.0]])),
+        SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
+                   LinearReaction([[1.0, -1e308], [0.0, 1.0]])),
+        SystemSpec(1, 2, np.eye(2), (np.array([[0.0, 1e308], [0.0, 0.0]]),)),
+    ]
+    for spec in overflowing:
+        with pytest.raises(PropagatorOverflowError):
+            build_propagator(spec, g, 10.0)
 
 
 # ---------------------------------------------------------------------------
