@@ -383,6 +383,8 @@ def _cmd_ode_check(args, argv) -> int:
     _require(np.all(y0 >= 0), "--u0", "nonnegative", args.u0)
     text = _read_config(args.config)
     spec = load_system(text)
+    counts = "1 value" if spec.ncomp == 1 else f"1 or {spec.ncomp} values"
+    _require(y0.shape[0] in (1, spec.ncomp), "--u0", counts, args.u0)
     if y0.shape[0] == 1 and spec.ncomp > 1:
         y0 = np.full(spec.ncomp, y0[0])
     cmp = ode_reduction_check(spec.reaction, y0, args.t_end, args.dt)

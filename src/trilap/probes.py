@@ -439,7 +439,7 @@ class ViolationReport:
 def fit_power_law(eps: tuple[float, ...], magnitudes: tuple[float, ...]) -> float | None:
     """Least-squares slope of log|magnitude| against log eps; None if underdetermined."""
     pairs = [(e, m) for e, m in zip(eps, magnitudes) if m != 0.0 and np.isfinite(m)]
-    if len(pairs) < 2:
+    if len({e for e, _ in pairs}) < 2:
         return None
     le = np.log([e for e, _ in pairs])
     lm = np.log([abs(m) for _, m in pairs])

@@ -19,15 +19,8 @@ Advancing the linear flow by dt multiplies each retained Fourier
 coefficient vector by exp(dt * M(xi)).  Propagators live on the half
 spectrum: real fields are conjugate symmetric, so the other half carries no
 information.  Diagonal symbols exponentiate elementwise; coupled ones get
-an N x N exponential by scaling-and-squaring (diagonal Pade of order 13,
-Higham's theta_13 switchover), evaluated batched over the distinct symbols
-only.  M(xi) depends on xi only through |xi|^6 and the xi_j of axes with a
-nonzero T[j], so modes whose values of those inputs agree bit for bit have
-equal symbols: each distinct one is assembled and exponentiated once and
-the table is gathered from the results, equal to exponentiating every mode.
-The key is the bits of those float values, never an integer |m|^2: one
-|m|^2 summed from its squares in different orders can give |xi|^6 values
-that differ in the last bit, and merging those would change the table.
+an N x N exponential per mode by scaling-and-squaring (diagonal Pade of
+order 13, Higham's theta_13 switchover), batched over every mode.
 The exponential holds its stack component-major, (N, N, M), and forms
 every product as N^3 elementwise multiply-adds over the M matrices (`_mm`),
 where a batched matmul would make one tiny BLAS call per matrix; tables
@@ -40,10 +33,7 @@ entry of exp(A) below e^-800, under 2^-1075 (ln = -745.13), so each
 rounds to 0 in doubles: it gets exact zeros.  The margin of e^-55 covers
 the Pade's rounding, which returns zeros there too; the skipped entries
 are +0.0 where the Pade could leave -0.0, so tables are equal as numbers
-(np.array_equal), not byte for byte.  Of the matrices that do go through
-it, one leaves the squaring loop once its running square is exactly
-zero, which some modes reach by underflow: 0 * 0 = 0, so the squarings
-it skips could not have changed it.
+(np.array_equal), not byte for byte.
 Spectra follow the unnormalised forward / 1/n^d inverse convention that
 numpy.fft and scipy.fft share;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
@@ -85,12 +75,15 @@ def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=Non
     folded matrices are diagonal; otherwise one N x N matrix per mode,
     shape (*mesh, N, N).  Given a `row` index, only that row of every
     matrix is formed, shape (1, *mesh) or (*mesh, 1, N), with the same
-    bits as the full symbol's row.
+    bits as the full symbol's row.  The mesh of an axis whose T[j] is zero
+    is never read, in either form.
     """
     if len(deriv_mesh) != spec.d:
         raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
     rows = slice(None) if row is None else slice(row, row + 1)
-    mats = (spec.diffusion, *spec.transport, *folded)
+    moving = [(xi, g) for xi, g in zip(deriv_mesh, spec.transport) if np.any(g)]
+    deriv_mesh = [xi for xi, _ in moving]
+    mats = (spec.diffusion, *(g for _, g in moving), *folded)
     if _decoupled(spec, folded):
         column = (-1,) + (1,) * k_sixth.ndim
         mats = [np.diag(m)[rows].reshape(column) for m in mats]
@@ -98,9 +91,9 @@ def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=Non
         mats = [m[rows] for m in mats]
         k_sixth, deriv_mesh = k_sixth[..., None, None], [xi[..., None, None] for xi in deriv_mesh]
     out = -k_sixth * mats[0].astype(complex)
-    for xi, g in zip(deriv_mesh, mats[1 : spec.d + 1]):
+    for xi, g in zip(deriv_mesh, mats[1 : len(moving) + 1]):
         out += (1j * xi) * g
-    for m in mats[spec.d + 1 :]:
+    for m in mats[len(moving) + 1 :]:
         out -= m
     return out
 
@@ -190,13 +183,11 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     matrices (the high modes of a stiff symbol, most of a stack) skip all
     that follows; the others go through it.  Per matrix: scale by 2^-s so
     the 1-norm drops below theta_13, apply the order-13 diagonal Pade
-    approximant, square s times.  All stages run batched on the stack held
-    component-major, (N, N, M), so every product is N^3 elementwise
-    multiply-adds over M matrices (`_mm`).  The squaring loop keeps the
-    indices of the matrices still squaring: one leaves when its s squarings
-    are done or its running square is exactly zero, which no later squaring
-    can change (0 * 0 = 0).  A matrix with a NaN or inf entry is never
-    skipped, and its exponential is non-finite.
+    approximant, square s times (round k squares the matrices with s > k).
+    All stages run batched on the stack held component-major, (N, N, M), so
+    every product is N^3 elementwise multiply-adds over M matrices (`_mm`).
+    A matrix with a NaN or inf entry is never skipped nor scaled, and its
+    exponential is non-finite.
     """
     ms = np.asarray(ms, dtype=complex)
     n = ms.shape[-1]
@@ -210,10 +201,11 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     norm1 = np.abs(a).sum(axis=0).max(axis=0)
     eye = np.eye(n, dtype=complex)[..., None]
     b = _PADE13
-    # a non-finite matrix gets an inf or NaN s, cast to some int: its result is non-finite anyway
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13))
-        s = np.maximum(s, 0.0).astype(int)
+        # a non-finite matrix is not scaled (its result is non-finite anyway):
+        # casting its inf or NaN s to int is undefined
+        s = np.where(np.isfinite(s), np.maximum(s, 0.0), 0.0).astype(int)
         a *= 0.5**s
         a2 = _mm(a, a)
         a4 = _mm(a2, a2)
@@ -224,17 +216,9 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
         r = np.linalg.solve(np.moveaxis(v - u, -1, 0), np.moveaxis(v + u, -1, 0))
         r = np.ascontiguousarray(np.moveaxis(r, 0, -1))
-
-        todo = np.flatnonzero(s)
-        w = r[..., todo]
-        k = 0
-        while todo.size:
-            w = _mm(w, w)
-            k += 1
-            stay = (s[todo] > k) & np.any(w != 0, axis=(0, 1))
-            if not stay.all():
-                r[..., todo[~stay]] = w[..., ~stay]
-                todo, w = todo[stay], w[..., stay]
+        for k in range(s.max(initial=0)):
+            w = r[..., s > k]
+            r[..., s > k] = _mm(w, w)
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
     r[..., norm1 == 0.0] = eye
     out.reshape(-1, n, n)[live] = np.moveaxis(r, -1, 0)
@@ -277,33 +261,10 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
         raise ValueError(f"dt must be >= 0, got {dt}")
     lin = spec.reaction.linear_matrix(spec.ncomp)
     folded = () if lin is None else (lin,)
-    if _decoupled(spec, folded):
-        with np.errstate(over="ignore", invalid="ignore"):
-            exps = np.exp(dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded))
-    else:
-        # M(xi) is a function of |xi|^6 and the xi_j of axes with a nonzero T[j]
-        # (D and L are the same on every mode), so modes whose inputs agree bit
-        # for bit share their exponential: exponentiate each distinct one once.
-        # A stable lexsort of the float bits puts equal keys in runs, each
-        # starting at its lowest mode index
-        keys = [grid.half_k_sixth.ravel().view(np.uint64)] + [
-            xi.ravel().view(np.uint64) for xi, g in zip(grid.half_deriv_mesh, spec.transport)
-            if np.any(g)
-        ]
-        order = np.lexsort(keys)
-        starts = np.zeros(order.size, dtype=bool)
-        starts[0] = True
-        for key in keys:
-            ordered = key[order]
-            starts[1:] |= ordered[1:] != ordered[:-1]
-        first = order[starts]
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(starts) - 1
-        # an overflow in dt * M leaves a non-finite entry, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = dt * symbol(spec, grid.half_k_sixth.ravel()[first],
-                            [xi.ravel()[first] for xi in grid.half_deriv_mesh], folded)
-        exps = matrix_exp_batch(m)[inverse].reshape(grid.half_shape + m.shape[1:])
+    # an overflow in dt * M leaves a non-finite entry, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
+        exps = np.exp(m) if _decoupled(spec, folded) else matrix_exp_batch(m)
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"

@@ -146,6 +146,14 @@ def test_counterexample_without_negativity_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_counterexample_with_one_distinct_eps_has_no_slope(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        ["counterexample", "--kind", "diffusion", "--d", "1", "--eps", "1,1",
+         "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert "slope n/a" in stdout and err == ""
+
+
 @pytest.mark.parametrize("kind,d", [("diffusion", 2), ("diffusion", 3), ("transport", 2),
                                     ("transport", 3)])
 def test_counterexample_runs_at_higher_dimension(tmp_path, capsys, kind, d):
@@ -236,6 +244,7 @@ REJECTED_FLAG_MESSAGES = {
     ("--u0", "constant:x"): "--u0 constant must be comma-separated finite numbers, got x",
     ("--u0", "x"): "--u0 must be comma-separated finite numbers, got x",
     ("--u0", "-1"): "--u0 must be nonnegative, got -1",
+    ("--u0", "1,2,3"): "--u0 must be 1 or 2 values, got 1,2,3",
     ("--eps", "x"): "--eps must be comma-separated finite numbers, got x",
     ("--eps", "nan"): "--eps must be comma-separated finite numbers, got nan",
     ("--eps", "1,0"): "--eps must be all positive, got 1,0",
@@ -293,6 +302,7 @@ REJECTED_FLAG_MESSAGES = {
     ["probe", "--kind", "diffusion", "--d", "1", "--eps", "-1"],
     ["probe", "--kind", "diffusion", "--d", "1", "--eps", "0"],
     ["probe", "--kind", "diffusion", "--d", "1", "--eps", "nan"],
+    ["ode-check", "{config}", "--u0", "1,2,3"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")
@@ -366,6 +376,15 @@ def test_simulate_blowup_exits_5(tmp_path, capsys):
         ["simulate", str(path), "--t-end", "2.0", "--dt", "0.015625",
          "--u0", "constant:2.0", "--out", str(tmp_path / "o")], capsys)
     assert code == 5
+
+
+def test_ode_check_checks_the_u0_count_of_a_zero_reaction(tmp_path, capsys):
+    # a zero reaction has no component count of its own to trip over: --u0 is checked against N
+    config = str(CONFIGS / "coupled_diffusion.json")
+    code, _, err = run_cli(["ode-check", config, "--u0", "1,2,3", "--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert err.rstrip().endswith(REJECTED_FLAG_MESSAGES[("--u0", "1,2,3")]), err
+    assert run_cli(["ode-check", config, "--u0", "1,2", "--out", str(tmp_path)], capsys)[0] == 0
 
 
 def test_ode_check_logistic(tmp_path, capsys):

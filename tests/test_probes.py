@@ -344,6 +344,9 @@ def test_fit_power_law():
     assert fit_power_law((1.0, 0.5, 0.25), (2.0, 128.0, 8192.0)) == pytest.approx(-6.0)
     assert fit_power_law((1.0,), (2.0,)) is None
     assert fit_power_law((1.0, 0.5), (0.0, 1.0)) is None
+    # repeated eps: one distinct scale, no slope (not a failed least-squares fit)
+    assert fit_power_law((1.0, 1.0), (2.0, 2.0)) is None
+    assert fit_power_law((0.5, 1.0, 0.5), (3.0, 0.0, 3.0)) is None
 
 
 def test_violation_report_serializable():

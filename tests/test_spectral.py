@@ -214,6 +214,27 @@ def test_symbol_row_is_the_row_of_the_full_symbol(rng, d, n):
             assert row.shape == want.shape and row.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("moving", [(), (0,), (2,), (0, 1)])
+def test_symbol_never_reads_the_mesh_of_an_axis_without_transport(rng, coupled, moving):
+    # NaN on every axis with T[j] = 0 must not reach the symbol, full or row form
+    g = Grid(d=3, n=8, box=8.0)
+    ncomp = 2
+    diff = pd_diffusion(rng, ncomp) if coupled else np.diag(rng.uniform(0.5, 2.0, ncomp))
+    gammas = [np.zeros((ncomp, ncomp)) for _ in range(3)]
+    for j in moving:
+        gammas[j][0, 0], gammas[j][1, 1] = 0.5 + j, -0.3
+        if coupled:
+            gammas[j][0, 1] = 0.9
+    spec = SystemSpec(3, ncomp, diff, tuple(gammas))
+    for k_sixth, mesh in ((g.k_sixth, g.deriv_mesh), (g.half_k_sixth, g.half_deriv_mesh)):
+        blind = [xi if j in moving else np.full_like(xi, np.nan) for j, xi in enumerate(mesh)]
+        for row in (None, 0, 1):
+            want = symbol(spec, k_sixth, mesh, row=row)
+            got = symbol(spec, k_sixth, blind, row=row)
+            assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 
@@ -272,8 +293,8 @@ def _exp_stack(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_matrix_exp_matches_blas_product_reference(rng, n):
-    # the component-major products differ from BLAS zgemm only in rounding;
-    # the early exit leaves every exactly-zero result exactly zero
+    # the component-major products differ from BLAS zgemm only in rounding,
+    # and every exactly-zero result stays exactly zero
     ms = _exp_stack(rng, n)
     ref = matrix_exp_reference(ms)
     out = matrix_exp_batch(ms)
@@ -285,42 +306,6 @@ def test_matrix_exp_matches_blas_product_reference(rng, n):
     one = ms[-1:].copy()
     matrix_exp_batch(one)
     assert np.array_equal(one, ms[-1:])
-
-
-def test_squaring_stops_once_a_square_underflows_to_zero(monkeypatch):
-    # a sweep's diffusion violation: most distinct symbols have |xi|^6 * dt so
-    # large that their running squares reach exactly zero long before s_i squarings
-    kind = DiffusionViolation(k=0, j=1, a=1.3)
-    g = Grid(d=2, n=256, box=4.4)
-    spec = kind.system(2)
-    dt = default_t_probe(spec, g)
-    events, stacks = [], []
-    real_mm, real_solve, real_exp = spectral._mm, np.linalg.solve, spectral.matrix_exp_batch
-
-    def mm(a, b):
-        events.append(a.shape[-1])
-        return real_mm(a, b)
-
-    def solve(a, b):
-        events.append("solve")
-        return real_solve(a, b)
-
-    def exp(ms):
-        stacks.append((ms, real_exp(ms)))
-        return stacks[-1][1]
-
-    monkeypatch.setattr(spectral, "_mm", mm)
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    monkeypatch.setattr(spectral, "matrix_exp_batch", exp)
-    build_propagator(spec, g, dt)
-    ((ms, out),) = stacks
-    norm1 = np.abs(ms).sum(axis=-2).max(axis=-1)
-    s = np.maximum(np.ceil(np.log2(np.maximum(norm1, 1e-300) / spectral._THETA13)), 0)
-    squarings = sum(events[events.index("solve") + 1:])
-    assert 0 < squarings < s.sum()
-    ref = matrix_exp_reference(ms)
-    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-    assert np.array_equal(out == 0, ref == 0)
 
 
 def _gershgorin_log_norm(ms):
@@ -374,8 +359,8 @@ def test_matrix_exp_near_the_underflow_threshold(monkeypatch, n):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
-    # the benchmark sweep's coupled builds: few distinct symbols escape the
-    # underflow bound, and only those reach the Pade solve
+    # the benchmark sweep's coupled builds: few modes escape the underflow
+    # bound, and only those reach the Pade solve
     if d == 2:
         kind, g = DiffusionViolation(k=0, j=1, a=1.3), Grid(d=2, n=256, box=4.4)
     else:
@@ -397,6 +382,7 @@ def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
     build_propagator(spec, g, default_t_probe(spec, g))
     monkeypatch.undo()
     ((ms, out),) = stacks
+    ms, out = ms.reshape(-1, 2, 2), out.reshape(-1, 2, 2)
     live = np.count_nonzero(_gershgorin_log_norm(ms) >= -800.0)
     assert solved == [live]
     assert live <= {2: 0.03, 3: 0.06}[d] * ms.shape[0]
@@ -531,8 +517,7 @@ def _coupled_case(rng, case):
 
 @pytest.mark.parametrize("case", ["D1", "D2", "D3", "T3axis0", "T3last", "T2both", "L2", "N3"])
 def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
-    # modes that share their symbol share one exponential; the gathered table
-    # must be exactly the per-mode exponential of every half-spectrum symbol
+    # the table is exactly the per-mode exponential of every half-spectrum symbol
     spec, g = _coupled_case(rng, case)
     dt = 3e-3
     folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
@@ -542,14 +527,9 @@ def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
     assert exps.dtype == want.dtype and np.array_equal(exps, want)
 
 
-@pytest.mark.parametrize("coupled_axes", [(), (0,), (2,), (0, 1)])
-def test_coupled_build_exponentiates_each_distinct_symbol_once(monkeypatch, coupled_axes):
-    g = Grid(d=3, n=16, box=8.0)
-    diff = np.array([[1.0, 0.0 if coupled_axes else 0.7], [0.0, 1.5]])
-    gammas = [np.zeros((2, 2)) for _ in range(3)]
-    for j in coupled_axes:
-        gammas[j][0, 1] = 0.5 + j
-    spec = SystemSpec(3, 2, diff, tuple(gammas))
+@pytest.mark.parametrize("case", ["D2", "T3last", "L2", "N3"])
+def test_coupled_build_exponentiates_every_mode_in_one_batch(monkeypatch, rng, case):
+    spec, g = _coupled_case(rng, case)
     batches = []
 
     def spy(ms):
@@ -557,13 +537,8 @@ def test_coupled_build_exponentiates_each_distinct_symbol_once(monkeypatch, coup
         return matrix_exp_batch(ms)
 
     monkeypatch.setattr(spectral, "matrix_exp_batch", spy)
-    build_propagator(spec, g, 1e-3)
-    # the symbol's inputs on each mode: |xi|^6 and xi_j on every axis j with T[j] != 0
-    inputs = [g.half_k_sixth] + [g.half_deriv_mesh[j] for j in coupled_axes]
-    distinct = np.unique(np.stack([x.ravel() for x in inputs]), axis=1).shape[1]
-    assert len(batches) == 1
-    assert batches[0] == (distinct, 2, 2)
-    assert distinct < np.prod(g.half_shape)
+    build_propagator(spec, g, 3e-3)
+    assert batches == [g.half_shape + (spec.ncomp, spec.ncomp)]
 
 
 def test_propagator_semigroup(rng):
@@ -610,7 +585,7 @@ def test_propagator_overflow_detected():
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-800.0]]))
     with pytest.raises(PropagatorOverflowError):
         build_propagator(spec, g, 1.0)
-    # the coupled table is gathered from the distinct exponentials before the check
+    # the coupled table is checked the same way
     spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
                       LinearReaction([[-800.0, 1.0], [0.0, -800.0]]))
     with pytest.raises(PropagatorOverflowError):
