@@ -361,6 +361,8 @@ def _cmd_counterexample(args, argv) -> int:
     else:
         grid = probe_grid(d, args.n)
     report = run_violation_experiment(kind, eps_list, grid, t_probe=args.t_probe)
+    for eps, reason in report.dropped:
+        print(f"dropped eps {eps:g}: {reason}", file=sys.stderr)
     outdir = Path(args.out)
     _write_manifest(
         outdir, argv, None, {"kind": args.kind, "eps": eps_list, "n": grid.n, "box": grid.box}

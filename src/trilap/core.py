@@ -101,6 +101,9 @@ def as_square_matrix(entries, side: int | None = None, name: str = "matrix") -> 
     return _readonly(m)
 
 
+_HALF_MAX = np.finfo(float).max / 2.0
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic box discretisation: n samples per axis over side length box.
@@ -124,6 +127,16 @@ class Grid:
             raise ConfigError(f"grid: n must be a power of two >= 8, got {self.n}")
         if not (np.isfinite(self.box) and self.box > 0):
             raise ConfigError(f"grid: box must be positive and finite, got {self.box}")
+        # the largest |x|^2 (corner sample) and |xi|^6 (corner Nyquist mode); half
+        # the largest double leaves room for the meshes' own rounding of them
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            x2 = self.d * np.float64(self.box / 2.0) ** 2
+            k6 = (self.d * (np.pi * self.n / np.float64(self.box)) ** 2) ** 3
+        if not (x2 <= _HALF_MAX and 0.0 < k6 <= _HALF_MAX):
+            raise ConfigError(
+                f"grid: box must keep the largest |x|^2 and |xi|^6 positive and finite, "
+                f"got {self.box:g} (|x|^2 = {x2:g}, |xi|^6 = {k6:g})"
+            )
 
     @property
     def spacing(self) -> float:

@@ -51,8 +51,8 @@ from .core import (
     SystemSpec,
     ZeroReaction,
 )
-from .spectral import PropagatorOverflowError, apply_modes, symbol
-from .stepper import RunConfig, run
+from .spectral import PropagatorOverflowError, apply_modes, build_propagator, symbol
+from .stepper import RunConfig, _too_large, run
 
 __all__ = [
     "ProbeConstructionError",
@@ -226,11 +226,13 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-# The probe transforms stay on numpy.fft, unlike the stepper's scipy.fft: the
-# d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor, and scipy's
-# roundoff moves the benchmark sweep's rates past their 1e-8 references (every
-# sweep of all 8 input variants fails).  Moving them waits until every dilation
-# point is checked against its exact value (ROADMAP items 2 and 3).
+# The reads at the origin below (the probes' derivatives and an experiment's
+# rate) stay on numpy.fft; only a violation point's step uses the stepper's
+# scipy.fft.  The d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor,
+# and scipy's roundoff moves the benchmark sweep's rates past their 1e-8
+# references (every sweep of all 8 input variants fails).  Moving them waits
+# until every dilation point is checked against its exact value (ROADMAP
+# items 2 and 3).
 
 
 def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
@@ -268,30 +270,34 @@ def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
 def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float:
     """Component k of `initial_rate_field` at the origin sample, bit for bit.
 
-    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  Only
-    components with a nonzero bit are transformed (the fftn of +0.0 data is
-    +0.0), row k of `apply_modes` is formed in its order, and the inverse
-    runs last axis first, as ifftn does, keeping the origin of each
-    transformed axis: the same lines, each transformed alone, give the same
-    bits (README "Numerical notes").
+    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  Components
+    whose bits are all +0.0 are skipped, in the transform and in the row
+    product: their spectra are +0.0, and adding the signed zeros of their
+    products leaves every nonzero entry as it is.  The rest of row k of
+    `apply_modes` is formed in its order.  The inverse runs last axis
+    first, as ifftn does, keeping the origin of each transformed axis: the
+    same lines, each transformed alone, give the same bits (README
+    "Numerical notes").  With nothing left, the linear part is 0.0 and no
+    inverse runs.
     """
     grid = u0.grid
     axes = tuple(range(grid.d))
-    coeffs = [
-        np.fft.fftn(v, axes=axes) if v.view(np.uint64).any() else np.zeros(grid.shape, complex)
-        for v in u0.values
-    ]
-    if m.ndim == grid.d + 1:  # diagonal symbol (1, *mesh)
-        line = m[0] * coeffs[k]
-    else:  # one row per mode (*mesh, 1, N)
-        line = m[..., 0, 0] * coeffs[0]
-        for j in range(1, spec.ncomp):
-            line += m[..., 0, j] * coeffs[j]
-    for _ in axes:
-        line = np.fft.ifft(line)[..., grid.n // 2]
+    diagonal = m.ndim == grid.d + 1  # (1, *mesh) reads component k only; (*mesh, 1, N) all
+    live = [c for c in ((k,) if diagonal else range(spec.ncomp))
+            if u0.values[c].view(np.uint64).any()]
+    lin = 0.0
+    if live:
+        terms = ((m[0] if diagonal else m[..., 0, c]) * np.fft.fftn(u0.values[c], axes=axes)
+                 for c in live)
+        line = next(terms)
+        for term in terms:
+            line += term
+        for _ in axes:
+            line = np.fft.ifft(line)[..., grid.n // 2]
+        lin = line.real
     # the reaction is elementwise, so evaluating it at the origin sample alone keeps its bits
     at_origin = u0.values[(slice(None),) + grid.origin_index][:, np.newaxis]
-    return float(line.real - spec.reaction.evaluate(at_origin)[k, 0])
+    return float(lin - spec.reaction.evaluate(at_origin)[k, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -461,33 +467,47 @@ def run_violation_experiment(
 
     For each eps: place the eps-dilated probe in component j (component k
     identically zero), record the initial rate of component k at the
-    origin, evolve to t_probe and record the minimum of component k.  The
-    fitted log-log slope of |rate| against eps exposes the 1/eps^6
-    (diffusion) or 1/eps (transport) amplification; eps values whose
-    stepping fails are dropped and noted.
+    origin, take one exact linear step of length t_probe and record the
+    minimum of component k.  The fitted log-log slope of |rate| against eps
+    exposes the 1/eps^6 (diffusion) or 1/eps (transport) amplification;
+    eps values whose probe or step fails are dropped and noted.
+
+    The step has the bits of `stepper.run` with dt = t_end = t_probe,
+    computed for component k alone: k starts at zero, so after the step it
+    is irfftn(P[k, j] * rfftn(u_j)) with P = exp(t_probe * M) on the half
+    spectrum, one propagator for every eps.  Component j follows its own
+    diagonal flow and cannot blow up, so the blow-up check reads k only.
     """
+    from scipy import fft  # here, so that importing trilap does not load scipy
+
     spec = kind.system(grid.d)
     base = kind.base_mollifier(grid.d)
     if t_probe is None:
         t_probe = default_t_probe(spec, grid)
-    rc = RunConfig(t_end=t_probe, dt=t_probe)
-    m = _rate_symbol(spec, grid, kind.k)
+    if not (math.isfinite(t_probe) and t_probe > 0):
+        raise ConfigError(f"t_probe must be finite and > 0, got {t_probe}")
+    k, j = kind.k, kind.j
+    m = _rate_symbol(spec, grid, k)
+    prop = None  # built inside the try, so an overflow drops every eps with its message
 
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:
         try:
             probe = kind.probe(grid, eps, base.scaled(eps))
             u0_vals = np.zeros((spec.ncomp,) + grid.shape)
-            u0_vals[kind.j] = probe.values[0]
-            u0 = Field(grid, u0_vals)
-            rate_origin = _rate_at_origin(spec, m, u0, kind.k)
-            ts = run(spec, u0, rc)
-            if ts.blown_up:
-                dropped.append((float(eps), f"blow-up at step {ts.blowup_step}"))
+            u0_vals[j] = probe.values[0]
+            rate_origin = _rate_at_origin(spec, m, Field(grid, u0_vals), k)
+            if prop is None:
+                prop = build_propagator(spec, grid, t_probe)
+                if prop.decoupled:
+                    raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
+            vals = fft.irfftn(prop.exps[..., k, j] * fft.rfftn(probe.values[0]), s=grid.shape)
+            if _too_large(vals):
+                dropped.append((float(eps), "blow-up at step 1"))
                 continue
             kept_eps.append(float(eps))
             rates.append(rate_origin)
-            mins.append(float(ts.diagnostics[-1, kind.k, 0]))
+            mins.append(float(vals.min()))
         except (PropagatorOverflowError, ProbeConstructionError) as err:
             dropped.append((float(eps), str(err)))
     return ViolationReport(

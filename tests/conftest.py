@@ -33,8 +33,8 @@ def scalar_heat_spec():
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Arguments of every propagator build that stepper.run makes during the test."""
-    from trilap import stepper
+    """Arguments of every propagator build that stepper.run or a violation experiment makes."""
+    from trilap import probes, stepper
 
     calls = []
     real = stepper.build_propagator
@@ -43,5 +43,6 @@ def build_calls(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(stepper, "build_propagator", counting)
+    for module in (stepper, probes):
+        monkeypatch.setattr(module, "build_propagator", counting)
     return calls

@@ -182,6 +182,62 @@ def test_counterexample_reaction_runs_at_d3(tmp_path, capsys):
     assert payload["negativity_observed"] is True
 
 
+def test_counterexample_names_each_dropped_eps_on_stderr(tmp_path, capsys):
+    # without --box, n = 32 shrinks the box to 0.55, so no eps fits its probe
+    code, stdout, err = run_cli(
+        ["counterexample", "--kind", "diffusion", "--d", "2", "--n", "32", "--eps", "1,0.5",
+         "--out", str(tmp_path)], capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    for line, eps in zip(lines, ("1", "0.5")):
+        assert line.startswith(f"dropped eps {eps}: outer radius "), line
+        assert "does not fit in half the box 0.275" in line
+    assert "NOT OBSERVED" in stdout
+
+
+def _grid_config(tmp_path, box):
+    cfg = json.loads((CONFIGS / "coupled_transport.json").read_text())
+    cfg["grid"]["box"] = box
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    # |x|^2 of the corner sample overflows
+    ["simulate", "{config:1e308}", "--t-end", "0.1"],
+    ["simulate", "{config:1e200}", "--t-end", "0.1"],
+    # |xi|_max^6 overflows, or underflows to 0
+    ["simulate", "{config:1e-60}", "--t-end", "0.1"],
+    ["simulate", "{config:1e100}", "--t-end", "0.1"],
+    ["simulate", "{config:5e-324}", "--t-end", "0.1"],
+    ["counterexample", "--kind", "diffusion", "--d", "2", "--box", "1e308"],
+    ["counterexample", "--kind", "transport", "--d", "3", "--n", "16", "--box", "1e-60"],
+    ["probe", "--kind", "diffusion", "--d", "1", "--box", "1e308"],
+    ["probe", "--kind", "transport", "--d", "1", "--box", "1e-300"],
+])
+def test_box_out_of_floating_point_range_exits_4(tmp_path, capsys, argv):
+    args = [_grid_config(tmp_path, float(a[8:-1])) if a.startswith("{config:") else a
+            for a in argv] + ["--out", str(tmp_path / "o")]
+    code, _, err = run_cli(args, capsys)
+    assert code == 4, err
+    assert "grid: box must keep" in err and "Warning" not in err
+
+
+def test_box_out_of_range_exits_4_without_a_warning_in_a_fresh_process(tmp_path):
+    # outside the test run's warning filters, an overflow would print a raw RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trilap.cli; sys.exit(trilap.cli.main(sys.argv[1:]))",
+         "simulate", _grid_config(tmp_path, 1e308), "--t-end", "0.1", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(trilap.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("config error: grid: box must keep"), proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("command,patch,field", [
     ("audit", {"d": "x"}, "'d'"),
     ("simulate", {"d": "x"}, "'d'"),

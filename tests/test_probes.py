@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trilap import (
+    ConfigError,
     Field,
     Grid,
     LinearReaction,
@@ -31,6 +32,7 @@ from trilap.probes import (
     probe_grid,
     rk4_ode,
 )
+from trilap.stepper import RunConfig, run
 
 from conftest import pd_diffusion
 
@@ -309,6 +311,71 @@ def test_experiment_drops_failing_eps(monkeypatch):
     assert rep.eps == (1.0,)
     assert rep.dropped == ((0.5, "synthetic failure"),)
     assert rep.fitted_slope is None  # one point cannot be fitted
+
+
+@pytest.mark.parametrize("t_probe,reason", [
+    # the exact step of F_k = u_j grows component k by t_probe * u_j, past the 1e12 threshold
+    (1e13, "blow-up at step 1"),
+    (1e300, "non-finite propagator entries at dt=1e+300; reduce dt or grid resolution"),
+])
+def test_experiment_drops_every_eps_whose_step_fails(t_probe, reason):
+    rep = run_violation_experiment(ReactionViolation(), (1.0, 0.5), Grid(1, 256, 4.0), t_probe)
+    assert rep.dropped == ((1.0, reason), (0.5, reason))
+    assert rep.eps == rep.initial_rate_at_origin == rep.min_after_t_probe == ()
+    assert rep.fitted_slope is None and not rep.negativity_observed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "matrix_exp_batch overscales the nilpotent coupling: its t_probe = 1e20 table "
+    "is all zeros, so the step reports minima (0.0, 0.0)"))
+def test_experiment_drops_an_exact_step_past_the_blow_up_threshold():
+    rep = run_violation_experiment(ReactionViolation(), (1.0, 0.5), Grid(1, 256, 4.0), 1e20)
+    assert rep.dropped == ((1.0, "blow-up at step 1"), (0.5, "blow-up at step 1"))
+
+
+@pytest.mark.parametrize("t_probe", [0.0, -1.0, math.nan, math.inf])
+def test_experiment_rejects_a_t_probe_that_is_not_finite_and_positive(monkeypatch, t_probe):
+    def unreachable(*args):
+        raise AssertionError("no eps may run")
+
+    monkeypatch.setattr(ReactionViolation, "probe", unreachable)
+    with pytest.raises(ConfigError):
+        run_violation_experiment(ReactionViolation(), (1.0, 0.5), Grid(1, 256, 4.0), t_probe)
+
+
+def _step_cases():
+    for d in (1, 2, 3):
+        yield d, DiffusionViolation(a=0.7)
+        yield d, DiffusionViolation(k=2, j=0, a=1.3)
+        yield d, TransportViolation(k=1, j=0, axis=d - 1, gamma=-1.3)
+        yield d, TransportViolation(k=0, j=2, axis=0, gamma=0.8)
+        yield d, ReactionViolation(k=1, j=0)
+        yield d, ReactionViolation(k=2, j=1)
+
+
+@pytest.mark.parametrize("d,kind", list(_step_cases()))
+def test_experiment_minimum_is_the_full_step_minimum_bit_for_bit(d, kind):
+    # component k alone, stepped from its zero start, against stepper.run over every component
+    grid, eps_list = RATE_GRIDS[d], (1.0, 0.5)
+    rep = run_violation_experiment(kind, eps_list, grid)
+    assert rep.eps == eps_list and rep.dropped == ()
+    spec = kind.system(d)
+    for eps, rate, minimum in zip(eps_list, rep.initial_rate_at_origin, rep.min_after_t_probe):
+        vals = np.zeros((spec.ncomp,) + grid.shape)
+        vals[kind.j] = kind.probe(grid, eps, kind.base_mollifier(d).scaled(eps)).values[0]
+        u0 = Field(grid, vals)
+        ts = run(spec, u0, RunConfig(t_end=rep.t_probe, dt=rep.t_probe))
+        assert not ts.blown_up
+        want = ts.diagnostics[-1, kind.k, 0]
+        assert np.float64(minimum).tobytes() == want.tobytes(), (eps, minimum, want)
+        field = initial_rate_field(spec, u0).values[(kind.k,) + grid.origin_index]
+        assert np.float64(rate).tobytes() == field.tobytes(), (eps, rate, field)
+
+
+def test_experiment_rejects_a_decoupled_system(monkeypatch):
+    monkeypatch.setattr(ReactionViolation, "system", ReactionViolation.repaired_system)
+    with pytest.raises(ValueError, match="decoupled"):
+        run_violation_experiment(ReactionViolation(), (1.0,), Grid(1, 256, 4.0))
 
 
 def test_experiment_builds_one_propagator_for_all_eps(build_calls):

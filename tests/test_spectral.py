@@ -18,7 +18,7 @@ from trilap import (
     symbol,
 )
 from trilap import spectral
-from trilap.probes import DiffusionViolation, TransportViolation, default_t_probe
+from trilap.probes import DiffusionViolation, ReactionViolation, TransportViolation, default_t_probe
 
 from conftest import pd_diffusion, zero_transport
 from oracles import matrix_exp_reference
@@ -417,6 +417,18 @@ def test_non_finite_matrices_are_never_skipped():
     for spec in overflowing:
         with pytest.raises(PropagatorOverflowError):
             build_propagator(spec, g, 10.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "overscaling: s comes from the 1-norm, so a nilpotent matrix of norm dt is squared "
+    "about log2(dt) times and each squaring doubles the Pade's rounding error"))
+@pytest.mark.parametrize("dt", [1e10, 1e20])
+def test_nilpotent_mode_exponential_is_exact_at_any_dt(dt):
+    # the zero mode of F_k = u_j folded in is dt * [[0, -1], [0, 0]], whose
+    # exponential is I + dt * N; scaling chosen by ||A^k||^(1/k) (Al-Mohy and
+    # Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009) takes no squaring here
+    prop = build_propagator(ReactionViolation().system(1), Grid(1, 256, 4.0), dt)
+    assert np.array_equal(prop.exps[0], [[1.0, -dt], [0.0, 1.0]]), prop.exps[0]
 
 
 # ---------------------------------------------------------------------------
