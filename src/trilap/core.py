@@ -247,7 +247,10 @@ class Reaction:
     """Pointwise interaction term F; the right-hand side subtracts it."""
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate F componentwise; values has shape (ncomp, ...)."""
+        """Evaluate F componentwise; values has shape (ncomp, ...).
+
+        Returns a new array, which the caller may overwrite.
+        """
         raise NotImplementedError
 
     def linear_matrix(self, ncomp: int) -> np.ndarray | None:
@@ -319,13 +322,20 @@ class PolynomialReaction(Reaction):
         with np.errstate(over="ignore", invalid="ignore"):
             for k, comp in enumerate(self.terms):
                 for coeff, expo in comp:
-                    # the scalar coefficient broadcasts; factors multiply in
-                    # component order, and u**1 is u itself
-                    term = coeff
-                    for l, e in enumerate(expo):
-                        if e:
-                            term = term * (values[l] if e == 1 else values[l] ** e)
-                    out[k] += term
+                    # factors multiply in component order after the scalar
+                    # coefficient, and u**1 is u itself; a coefficient of 1.0 or
+                    # -1.0 is not multiplied in but picks between adding and
+                    # subtracting the product, with the same bits
+                    factors = [values[l] if e == 1 else values[l] ** e
+                               for l, e in enumerate(expo) if e]
+                    signed = bool(factors) and abs(coeff) == 1.0
+                    term = factors[0] if signed else coeff
+                    for factor in factors[1:] if signed else factors:
+                        term = term * factor
+                    if signed and coeff < 0.0:
+                        out[k] -= term
+                    else:
+                        out[k] += term
         return out
 
     def linear_matrix(self, ncomp):
@@ -360,14 +370,20 @@ class PolynomialReaction(Reaction):
         }
 
 
+# above this, u**e is inf for every |u| >= 2 and below the normal range for every |u| <= 1/2
+MAX_EXPONENT = 1024
+
+
 def _monomial(coeff, exponents, at: str) -> tuple[float, tuple[int, ...]]:
-    """(coeff, exponents) as a finite float and nonnegative ints; errors name the field `at`."""
+    """(coeff, exponents) as a finite float and ints in 0..MAX_EXPONENT; errors name the field `at`."""
     c = _as_number(coeff, f"{at}.coeff", integer=False)
     if not math.isfinite(c):
         raise ConfigError(f"field '{at}.coeff': coefficients must be finite")
     expo = tuple(_as_number(e, f"{at}.exponents", integer=True) for e in exponents)
     if any(e < 0 for e in expo):
         raise ConfigError(f"field '{at}.exponents': exponents must be nonnegative")
+    if any(e > MAX_EXPONENT for e in expo):
+        raise ConfigError(f"field '{at}.exponents': exponents must be at most {MAX_EXPONENT}")
     return c, expo
 
 

@@ -3,18 +3,23 @@
 Exactly linear reactions F = L u (Reaction.linear_matrix: zero, linear, and
 polynomials of degree-1 terms only) are advanced exactly: one step is the
 per-mode exponential of the full symbol with L folded in, so the only error
-is roundoff.  Others use integrating-factor RK4 on v = exp(-t*M) u_hat:
+is roundoff.  Others use integrating-factor RK4 on v = exp(-t*M) u_hat
+(Kassam & Trefethen, SIAM J. Sci. Comput. 26(4), 2005).  It needs only the
+half-step factor E2 = exp(dt/2 M), since E = exp(dt M) = E2 E2:
 
     N1 = N(c)                       N(c) = -fft(F(ifft(c))), dealiased
-    u2 = E2 (c + dt/2 N1)           E  = exp(dt M),  E2 = exp(dt/2 M)
-    u3 = E2 c + dt/2 N2
-    u4 = E  c + dt E2 N3
-    c' = E c + dt/6 (E N1 + 2 E2 (N2 + N3) + N4)
+    h  = E2 c,  g = E2 N1
+    u2 = h + dt/2 g
+    u3 = h + dt/2 N2
+    u4 = E2 (h + dt N3)
+    c' = E2 (h + dt/6 g + dt/3 (N2 + N3)) + dt/6 N4
 
-which reduces to classical RK4 on u' = -F(u) when the symbol vanishes
-(spatially homogeneous data).  Reaction products are dealiased with the
-2/3 rule by default.  An ETDRK4 variant would trade the exactness of the
-linear substeps for one fewer nonlinear stage; exactness wins here.
+four table applications per step, the classical form
+c' = E c + dt/6 (E N1 + 2 E2 (N2 + N3) + N4) regrouped.  It reduces to
+classical RK4 on u' = -F(u) when the symbol vanishes (spatially
+homogeneous data).  Reaction products are dealiased with the 2/3 rule by
+default.  An ETDRK4 variant would trade the exactness of the linear
+substeps for one fewer nonlinear stage; exactness wins here.
 
 Fields are real, so the state is carried as its half spectrum
 (scipy.fft.rfftn / irfftn, Grid.half_shape modes) and every propagator is
@@ -23,8 +28,9 @@ step n serve its blow-up check, its record and stage 1 of step n+1, so an
 n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.
 Audit-passing systems (diagonal D, T[i] and L) propagate elementwise, N
 scalar exponentials per mode; coupled systems apply an N x N matrix per
-mode.  Repeated runs of one spec on one grid and step reuse its propagator
-tables (at most the two one run needs are kept, and they go with the spec).
+mode.  A run builds one propagator table (exp(dt M) for exact steps, E2 for
+IF-RK4); the last one built for a spec is kept with the spec and reused by
+the next run on the same grid and step.
 
 State with any |value| > 1e12 or a non-finite entry aborts the run and
 returns the series recorded before it, flagged with the step where it
@@ -49,6 +55,7 @@ __all__ = [
     "TimeSeries",
     "ReactionOverflowError",
     "BLOWUP_THRESHOLD",
+    "MAX_STEPS",
     "suggest_dt",
     "run",
 ]
@@ -59,12 +66,15 @@ BLOWUP_THRESHOLD = 1e12
 # propagator entries stay inside floating-point range with margin
 EXP_RANGE_BUDGET = 700.0
 
+# one run takes at most this many steps; a larger count comes from a dt far
+# below any useful size (suggest_dt on a huge diffusion entry) and would not end
+MAX_STEPS = 1_000_000
+
 CSV_HEADER = "t,component,min,argmin_index,mass,l2norm"
 
-# propagator tables per live spec, keyed (grid, dt); the entries are
-# dropped with their spec, and an IF-RK4 run needs two tables
+# the last propagator table built for each live spec, as ((grid, dt), table);
+# a run needs one table, and the entry is dropped with its spec
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES_PER_SPEC = 2
 _TABLES_LOCK = threading.Lock()
 
 
@@ -89,6 +99,11 @@ class RunConfig:
         if not (0 < self.dt <= self.t_end < math.inf):
             raise ConfigError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
         steps = self.t_end / self.dt
+        if not steps <= MAX_STEPS:
+            raise ConfigError(
+                f"t_end={self.t_end:g} at dt={self.dt:g} takes {steps:.3g} steps, "
+                f"more than the budget of {MAX_STEPS}"
+            )
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ConfigError(f"t_end/dt = {steps} does not round to an integer step count")
         if self.output_stride < 1:
@@ -153,15 +168,13 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
 
 
 def _propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
-    """build_propagator, reusing the table of an identical earlier call on this spec."""
+    """build_propagator, reusing the table of the last call on this spec if grid and dt match."""
     key = (grid, dt)
     with _TABLES_LOCK:
-        tables = _TABLES.setdefault(spec, {})
-        if key not in tables:
-            if len(tables) >= _TABLES_PER_SPEC:
-                del tables[next(iter(tables))]
-            tables[key] = build_propagator(spec, grid, dt)
-        return tables[key]
+        cached = _TABLES.get(spec)
+        if cached is None or cached[0] != key:
+            cached = _TABLES[spec] = (key, build_propagator(spec, grid, dt))
+        return cached[1]
 
 
 def _diagnostics_row(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -213,7 +226,6 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             return prop.apply(c)
 
     else:
-        full = _propagator(spec, grid, dt)
         half = _propagator(spec, grid, dt / 2.0)
         mask = grid.half_dealias_mask if rc.dealias else None
         react = spec.reaction
@@ -222,20 +234,19 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             f = react.evaluate(values)
             if not np.all(np.isfinite(f)):
                 raise ReactionOverflowError(step)
-            fc = fft.rfftn(-f, axes=axes)
+            fc = fft.rfftn(np.negative(f, out=f), axes=axes)
             if mask is not None:
                 fc *= mask
             return fc
 
         def advance(c: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
-            # stage 1 reads the values of c that the previous step computed; the
-            # stage states u2, u3, u4 stay unnamed so each is freed once transformed
-            n1 = nonlinear(values, step)
-            n2 = nonlinear(to_values(half.apply(c + (dt / 2.0) * n1)), step)
-            n3 = nonlinear(to_values(half.apply(c) + (dt / 2.0) * n2), step)
-            ec = full.apply(c)
-            n4 = nonlinear(to_values(ec + dt * half.apply(n3)), step)
-            return ec + (dt / 6.0) * (full.apply(n1) + 2.0 * half.apply(n2 + n3) + n4)
+            # stage 1 reads the values of c that the previous step computed; N1
+            # and the stage states u2, u3, u4 stay unnamed so each is freed once used
+            h, g = half.apply(c), half.apply(nonlinear(values, step))
+            n2 = nonlinear(to_values(h + (dt / 2.0) * g), step)
+            n3 = nonlinear(to_values(h + (dt / 2.0) * n2), step)
+            n4 = nonlinear(to_values(half.apply(h + dt * n3)), step)
+            return half.apply(h + (dt / 6.0) * g + (dt / 3.0) * (n2 + n3)) + (dt / 6.0) * n4
 
         values = to_values(coeffs)
 
@@ -246,7 +257,10 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
 
     for step in range(1, rc.n_steps + 1):
         try:
-            coeffs = advance(coeffs, values, step)
+            # a step that overflows is reported below, by the reaction check
+            # or the blow-up check, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs = advance(coeffs, values, step)
         except ReactionOverflowError:
             blown, blow_step = True, step
             break

@@ -264,6 +264,11 @@ def test_box_out_of_range_exits_4_without_a_warning_in_a_fresh_process(tmp_path)
         [{"coeff": 1.0, "exponents": [10**400, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
     # a boolean among numbers would load as 1.0
     ("audit", {"A": [[True, 0.0], [0.0, 1.0]]}, "'A'"),
+    # exponents above the cap
+    ("audit", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 1.0, "exponents": [1025, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
+    ("simulate", {"reaction": {"kind": "polynomial", "terms": [
+        [{"coeff": 1.0, "exponents": [1e308, 0]}], []]}}, "'reaction.terms[0][0].exponents'"),
 ])
 def test_malformed_config_exits_4_naming_field(tmp_path, capsys, command, patch, field):
     cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text()) | patch
@@ -432,6 +437,41 @@ def test_simulate_blowup_exits_5(tmp_path, capsys):
         ["simulate", str(path), "--t-end", "2.0", "--dt", "0.015625",
          "--u0", "constant:2.0", "--out", str(tmp_path / "o")], capsys)
     assert code == 5
+
+
+def test_simulate_over_the_step_budget_exits_4_before_a_step(tmp_path, capsys, monkeypatch):
+    # a huge diffusion entry makes suggest_dt about 1e-302: 8.8e299 steps
+    cfg = json.loads((CONFIGS / "coupled_transport.json").read_text())
+    cfg["A"][0][0] = 1e300
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(cfg))
+
+    def no_step(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(trilap.cli, "run", no_step)
+    code, _, err = run_cli(
+        ["simulate", str(path), "--t-end", "0.01", "--out", str(tmp_path / "o")], capsys)
+    assert code == 4, err
+    assert "t_end=0.01 at dt=1.13768e-302 takes 8.79e+299 steps" in err
+
+
+def test_simulate_blowup_from_a_huge_coefficient_exits_5_without_a_warning(tmp_path):
+    # outside the test run's warning filters, the overflowing stages would print
+    # raw RuntimeWarnings; the stepper reports the blow-up itself
+    cfg = json.loads((CONFIGS / "lotka_volterra.json").read_text())
+    cfg["reaction"]["terms"][0][0]["coeff"] = -1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trilap.cli; sys.exit(trilap.cli.main(sys.argv[1:]))",
+         "simulate", str(path), "--t-end", "0.01", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(trilap.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "blew up at step 1" in proc.stdout
+    assert "Warning" not in proc.stderr, proc.stderr
 
 
 def test_ode_check_checks_the_u0_count_of_a_zero_reaction(tmp_path, capsys):

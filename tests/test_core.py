@@ -374,3 +374,34 @@ def test_polynomial_evaluation_matches_full_array_oracle(ncomp):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_polynomial_evaluation_keeps_the_bits_of_the_term_loop():
+    # coefficients 1 and -1 skip their multiplication; every bit stays as the
+    # term loop that starts each product from its coefficient computes it,
+    # inf and NaN included
+    terms = (
+        ((1.0, (2, 0)), (-1.0, (1, 0)), (0.5, (1, 1)), (0.0, (3, 1)), (1.0, (0, 0)),
+         (-1.0, (1, 2)), (1.0, (1, 1)), (-1.0, (0, 0)), (0.3, (1, 2))),
+        ((-1.0, (1, 1)), (1.0, (0, 2)), (-0.5, (2, 1)), (0.5, (0, 0)), (0.0, (0, 0)),
+         (1.0, (0, 1)), (-1.0, (2, 2))),
+    )
+    reaction = PolynomialReaction(terms)
+    values = np.random.default_rng(17).uniform(-3, 3, (2, 6, 9))
+    specials = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1e200, -1e200, 5e-324]
+    values[0, 0] = specials
+    values[1, 1] = specials
+    values[1, 2] = specials[::-1]
+    assert reaction.evaluate(values).tobytes() == polynomial_reaction_full(
+        reaction, values).tobytes()
+
+
+@pytest.mark.parametrize("exponent,ok", [(1024, True), (1025, False), (1e308, False)])
+def test_polynomial_exponents_are_capped(exponent, ok):
+    cfg = dict(VALID_CFG, reaction={"kind": "polynomial",
+                                    "terms": [[{"coeff": 1.0, "exponents": [exponent]}]]})
+    if ok:
+        assert load_system(json.dumps(cfg)).reaction.terms[0][0][1] == (exponent,)
+    else:
+        with pytest.raises(ConfigError, match=r"'reaction.terms\[0\]\[0\].exponents'.*at most 1024"):
+            load_system(json.dumps(cfg))

@@ -16,7 +16,7 @@ from trilap import (
 )
 
 from conftest import pd_diffusion, zero_transport
-from oracles import mode_exponential_step, scalar_decay_solution
+from oracles import if_rk4_two_tables, mode_exponential_step, scalar_decay_solution
 
 LOGISTIC = PolynomialReaction((((1.0, (2,)), (-1.0, (1,))),))
 
@@ -24,6 +24,11 @@ LOGISTIC = PolynomialReaction((((1.0, (2,)), (-1.0, (1,))),))
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(t_end=1.0, dt=2.0)
+    with pytest.raises(ConfigError, match=r"t_end=1 at dt=1e-07 takes 1e\+07 steps, more than"):
+        RunConfig(t_end=1.0, dt=1e-7)
+    with pytest.raises(ConfigError, match="t_end=1 at dt=4.94066e-324 takes inf steps"):
+        RunConfig(t_end=1.0, dt=5e-324)
+    assert RunConfig(t_end=1.0, dt=1e-6).n_steps == 1_000_000
     with pytest.raises(ConfigError):
         RunConfig(t_end=1.0, dt=0.3)
     with pytest.raises(ConfigError):
@@ -80,15 +85,69 @@ def test_propagator_tables_reused_per_spec_grid_and_step(build_calls, grid1d):
     u0 = Field(grid1d, (0.5 + 0.1 * np.cos(2 * np.pi * grid1d.axis_coords / 16.0))[None])
     rc = RunConfig(t_end=0.02, dt=0.01)
     first = run(spec, u0, rc)
-    assert len(calls) == 2  # full and half step
+    assert [c[2] for c in calls] == [0.005]  # the half step only
     again = run(spec, u0, rc)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert np.array_equal(first.final_state.values, again.final_state.values)
     run(spec, u0, RunConfig(t_end=0.02, dt=0.02))
-    assert len(calls) == 4  # a new step size builds its own pair
+    assert len(calls) == 2  # a new step size builds its own table
     twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LOGISTIC)
     run(twin, u0, rc)
-    assert len(calls) == 6  # tables belong to one spec object
+    assert len(calls) == 3  # tables belong to one spec object
+
+
+# F for two components: every coefficient kind (1, -1, other) and a cross term
+TWO_SPECIES = PolynomialReaction((
+    ((1.0, (2, 0)), (-1.0, (1, 0)), (0.5, (1, 1))),
+    ((-0.4, (1, 1)), (0.8, (0, 1)), (-1.0, (0, 2)), (0.25, (0, 0))),
+))
+
+
+def polynomial_system(rng, d, coupled):
+    diffusion = pd_diffusion(rng, 2)
+    transport = [rng.uniform(-1, 1, (2, 2)) for _ in range(d)]
+    if not coupled:
+        diffusion = np.diag(np.diag(diffusion))
+        transport = [np.diag(np.diag(g)) for g in transport]
+    return SystemSpec(d, 2, diffusion, tuple(transport), TWO_SPECIES)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_if_rk4_matches_the_two_table_form(rng, d, coupled, dealias):
+    # E = E2 E2 regroups the classical stages onto the half-step table alone;
+    # the two forms agree to rounding
+    spec = polynomial_system(rng, d, coupled)
+    grid = Grid(d=d, n=16 if d < 3 else 8, box=8.0)
+    u0 = Field(grid, 0.5 + 0.1 * rng.standard_normal((2,) + grid.shape))
+    rc = RunConfig(t_end=6e-3, dt=1e-3, dealias=dealias)
+    got = run(spec, u0, rc).final_state.values
+    want = if_rk4_two_tables(spec, u0, rc)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_if_rk4_applies_one_half_step_table_four_times_per_step(rng, monkeypatch, build_calls,
+                                                                coupled):
+    from trilap.spectral import ModePropagator
+
+    applied = []
+    real = ModePropagator.apply
+
+    def counting(self, coeffs):
+        applied.append(self)
+        return real(self, coeffs)
+
+    monkeypatch.setattr(ModePropagator, "apply", counting)
+    spec = polynomial_system(rng, 2, coupled)
+    grid = Grid(d=2, n=16, box=8.0)
+    u0 = Field(grid, 0.5 + 0.1 * rng.standard_normal((2,) + grid.shape))
+    n = 7
+    ts = run(spec, u0, RunConfig(t_end=n * 1e-3, dt=1e-3))
+    assert not ts.blown_up
+    assert [c[2] for c in build_calls] == [5e-4]
+    assert len(applied) == 4 * n and all(p is applied[0] for p in applied)
 
 
 def test_evaluate_reaction_examples():
