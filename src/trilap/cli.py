@@ -257,6 +257,8 @@ def _cmd_simulate(args, argv) -> int:
     ts.save_final_state(outdir / "final_state.npz")
     _write_plot_script(outdir, "timeseries.csv", spec.ncomp)
     status = f"blew up at step {ts.blowup_step}" if ts.blown_up else f"reached t={ts.final_t:g}"
+    if ts.blown_up:
+        print(f"simulate: {status}", file=sys.stderr)  # the reason for exit 5, also under --json
     _emit(
         args,
         json.dumps({
@@ -289,10 +291,7 @@ def _write_plot_script(outdir: Path, csv_name: str, ncomp: int) -> None:
 
 def _cmd_probe(args, argv) -> int:
     _positive(args.eps, "--eps")
-    if args.box is not None:
-        grid = Grid(d=args.d, n=args.n if args.n is not None else 256, box=args.box)
-    else:
-        grid = probe_grid(args.d, args.n)
+    grid = probe_grid(args.d, args.n, args.box)
     mol = None
     if args.r0 is not None or args.r1 is not None:
         if args.r0 is None or args.r1 is None:
@@ -356,10 +355,8 @@ def _cmd_counterexample(args, argv) -> int:
     if d == 1:
         n = args.n if args.n is not None else 512
         grid = Grid(d=d, n=n, box=args.box if args.box is not None else 4.0)
-    elif args.box is not None:
-        grid = Grid(d=d, n=args.n if args.n is not None else 128, box=args.box)
     else:
-        grid = probe_grid(d, args.n)
+        grid = probe_grid(d, args.n, args.box)
     report = run_violation_experiment(kind, eps_list, grid, t_probe=args.t_probe)
     for eps, reason in report.dropped:
         print(f"dropped eps {eps:g}: {reason}", file=sys.stderr)

@@ -132,14 +132,16 @@ def transport_probe_mollifier(eps: float = 1.0) -> Mollifier:
     return Mollifier(0.35 * eps, 1.0 * eps)
 
 
-def probe_grid(d: int, n: int | None = None) -> Grid:
-    """Grid sized so the default eps=1 probes sit in the clean spectral window."""
-    defaults = {1: (256, 6.0), 2: (128, 2.2), 3: (128, 2.2)}
-    n_default, box = defaults[d]
-    if n is None:
-        n = n_default
-    else:
-        box = box * n / n_default  # keep |xi|_max fixed: the roundoff floor scales as |xi|^6
+def probe_grid(d: int, n: int | None = None, box: float | None = None) -> Grid:
+    """Grid sized so the default eps=1 probes sit in the clean spectral window.
+
+    n defaults per dimension; without a box, the default box is scaled with n.
+    """
+    n_default, box_default = {1: (256, 6.0), 2: (128, 2.2), 3: (128, 2.2)}[d]
+    n = n_default if n is None else n
+    if box is None:
+        # keep |xi|_max fixed: the roundoff floor scales as |xi|^6
+        box = box_default * n / n_default
     return Grid(d=d, n=n, box=box)
 
 
@@ -282,12 +284,12 @@ def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float
     """
     grid = u0.grid
     axes = tuple(range(grid.d))
-    diagonal = m.ndim == grid.d + 1  # (1, *mesh) reads component k only; (*mesh, 1, N) all
+    diagonal = m.ndim == grid.d + 1  # (1, *mesh) reads component k only; (1, N, *mesh) all
     live = [c for c in ((k,) if diagonal else range(spec.ncomp))
             if u0.values[c].view(np.uint64).any()]
     lin = 0.0
     if live:
-        terms = ((m[0] if diagonal else m[..., 0, c]) * np.fft.fftn(u0.values[c], axes=axes)
+        terms = ((m[0] if diagonal else m[0, c]) * np.fft.fftn(u0.values[c], axes=axes)
                  for c in live)
         line = next(terms)
         for term in terms:
@@ -501,7 +503,7 @@ def run_violation_experiment(
                 prop = build_propagator(spec, grid, t_probe)
                 if prop.decoupled:
                     raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
-            vals = fft.irfftn(prop.exps[..., k, j] * fft.rfftn(probe.values[0]), s=grid.shape)
+            vals = fft.irfftn(prop.exps[k, j] * fft.rfftn(probe.values[0]), s=grid.shape)
             if _too_large(vals):
                 dropped.append((float(eps), "blow-up at step 1"))
                 continue

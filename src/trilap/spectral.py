@@ -12,7 +12,10 @@ stepper carries, and the full complex DFT (np.fft.fftn, Grid.k_sixth /
 deriv_mesh) of the initial rate.
 When D, every T[j] and any folded L are diagonal (the systems that pass the
 audit) each mode splits into N scalar symbols, stored (N, *mesh);
-otherwise there is one N x N matrix per mode, stored (*mesh, N, N).
+otherwise there is one N x N matrix per mode, stored (N, N, *mesh).  Both
+forms are component-major like the spectra (N, *mesh) they act on: entry
+(i, j) of every mode is one contiguous plane, and no layout is transposed
+between the symbol, its exponential and their application.
 `apply_modes` multiplies stacked spectra by either form.
 
 Advancing the linear flow by dt multiplies each retained Fourier
@@ -21,9 +24,9 @@ spectrum: real fields are conjugate symmetric, so the other half carries no
 information.  Diagonal symbols exponentiate elementwise; coupled ones get
 an N x N exponential per mode by scaling-and-squaring (diagonal Pade of
 order 13, Higham's theta_13 switchover), batched over every mode.
-The exponential holds its stack component-major, (N, N, M), and forms
-every product as N^3 elementwise multiply-adds over the M matrices (`_mm`),
-where a batched matmul would make one tiny BLAS call per matrix; tables
+The exponential flattens the modes into (N, N, M) and forms every product
+as N^3 elementwise multiply-adds over the M matrices (`_mm`), where a
+batched matmul would make one tiny BLAS call per matrix; tables
 agree with that to rounding, not bit for bit.  Most high modes of a
 stiff symbol never reach the Pade: ||exp(A)||_2 <= exp(mu_2(A)), where
 mu_2(A) is the largest eigenvalue of the Hermitian part (A + A^H) / 2,
@@ -62,21 +65,15 @@ class PropagatorOverflowError(ArithmeticError):
     """exp(dt * M) produced non-finite entries; reduce dt or the resolution."""
 
 
-def _decoupled(spec: SystemSpec, folded) -> bool:
-    """True when D, every T[j] and the folded matrices are diagonal."""
-    mats = (spec.diffusion, *spec.transport, *folded)
-    return all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
-
-
 def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=None) -> np.ndarray:
     """M(xi) minus every matrix in `folded`, on the modes of the given meshes.
 
     Returns the diagonal, shape (N, *mesh), when D, every T[j] and the
     folded matrices are diagonal; otherwise one N x N matrix per mode,
-    shape (*mesh, N, N).  Given a `row` index, only that row of every
-    matrix is formed, shape (1, *mesh) or (*mesh, 1, N), with the same
-    bits as the full symbol's row.  The mesh of an axis whose T[j] is zero
-    is never read, in either form.
+    stored component-major, shape (N, N, *mesh).  Given a `row` index, only
+    that row of every matrix is formed, shape (1, *mesh) or (1, N, *mesh),
+    with the same bits as the full symbol's row.  The mesh of an axis whose
+    T[j] is zero is never read, in either form.
     """
     if len(deriv_mesh) != spec.d:
         raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
@@ -84,12 +81,11 @@ def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=Non
     moving = [(xi, g) for xi, g in zip(deriv_mesh, spec.transport) if np.any(g)]
     deriv_mesh = [xi for xi, _ in moving]
     mats = (spec.diffusion, *(g for _, g in moving), *folded)
-    if _decoupled(spec, folded):
-        column = (-1,) + (1,) * k_sixth.ndim
-        mats = [np.diag(m)[rows].reshape(column) for m in mats]
-    else:
-        mats = [m[rows] for m in mats]
-        k_sixth, deriv_mesh = k_sixth[..., None, None], [xi[..., None, None] for xi in deriv_mesh]
+    # a T[j] left out is zero, so diagonal: each mode splits into N scalar symbols
+    if all(np.array_equal(m, np.diag(np.diag(m))) for m in mats):
+        mats = [np.diag(m) for m in mats]
+    # the matrix axes lead and broadcast against the meshes, which keep their shape
+    mats = [m[rows][(...,) + (None,) * k_sixth.ndim] for m in mats]
     out = -k_sixth * mats[0].astype(complex)
     for xi, g in zip(deriv_mesh, mats[1 : len(moving) + 1]):
         out += (1j * xi) * g
@@ -102,26 +98,22 @@ def apply_modes(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Multiply stacked spectra (N, *mesh) by a symbol or propagator table, mode by mode.
 
     A table of shape (N, *mesh) multiplies elementwise; one of shape
-    (*mesh, N, N) applies its matrix to each mode's coefficient vector.
+    (R, N, *mesh) applies its R x N matrix to each mode's coefficient
+    vector, returning (R, *mesh).
     """
     decoupled = table.ndim == coeffs.ndim
-    fits = table.shape if decoupled else (table.shape[-1],) + table.shape[:-2]
-    if coeffs.shape != fits:
+    if coeffs.shape != (table.shape if decoupled else table.shape[1:]):
         raise DimensionMismatchError(
             f"spectra of shape {coeffs.shape} do not fit a table of shape {table.shape}"
         )
     if decoupled:
         return table * coeffs
-    # the sums of a batched per-mode matmul, one output component at a time
-    # (matmul's per-mode overhead dominates on tiny matrices); components sit
-    # innermost in memory as that matmul returns them, so results match it bit for bit
-    n = coeffs.shape[0]
-    out = np.empty(coeffs.shape[1:] + (n,), dtype=np.result_type(table, coeffs))
-    for i in range(n):
-        np.multiply(table[..., i, 0], coeffs[0], out=out[..., i])
-        for j in range(1, n):
-            out[..., i] += table[..., i, j] * coeffs[j]
-    return np.moveaxis(out, -1, 0)
+    # the sums of a per-mode matmul in its order, over every mode at once
+    # (matmul's per-mode overhead dominates on tiny matrices)
+    out = table[:, 0] * coeffs[0]
+    for j in range(1, coeffs.shape[0]):
+        out += table[:, j] * coeffs[j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,7 @@ def _log_norm_bound(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
-    """exp of a stack of small square matrices, shape (..., N, N).
+    """exp of a stack of small square matrices held component-major, shape (N, N, *batch).
 
     A finite matrix whose log-norm bound (`_log_norm_bound`) is below
     `_UNDERFLOW_LOG_NORM` gets exact zeros: ||exp(A)||_2 <= exp(mu_2(A)), so
@@ -184,16 +176,15 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     that follows; the others go through it.  Per matrix: scale by 2^-s so
     the 1-norm drops below theta_13, apply the order-13 diagonal Pade
     approximant, square s times (round k squares the matrices with s > k).
-    All stages run batched on the stack held component-major, (N, N, M), so
-    every product is N^3 elementwise multiply-adds over M matrices (`_mm`).
+    All stages run batched on the stack flattened to (N, N, M), so every
+    product is N^3 elementwise multiply-adds over M matrices (`_mm`).
     A matrix with a NaN or inf entry is never skipped nor scaled, and its
     exponential is non-finite.
     """
     ms = np.asarray(ms, dtype=complex)
-    n = ms.shape[-1]
+    n = ms.shape[0]
     out = np.zeros(ms.shape, dtype=complex)
-    # component-major and contiguous: each entry is one vector over the stack
-    a = np.moveaxis(ms.reshape(-1, n, n), 0, -1).copy()
+    a = ms.reshape(n, n, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         zero = (_log_norm_bound(a) < _UNDERFLOW_LOG_NORM) & np.isfinite(a).all(axis=(0, 1))
     live = np.flatnonzero(~zero)
@@ -221,7 +212,7 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
             r[..., s > k] = _mm(w, w)
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
     r[..., norm1 == 0.0] = eye
-    out.reshape(-1, n, n)[live] = np.moveaxis(r, -1, 0)
+    out.reshape(n, n, -1)[..., live] = r
     return out
 
 
@@ -231,7 +222,8 @@ class ModePropagator:
 
     A decoupled system stores the diagonal, exps shape (N, *half_shape),
     applied as an elementwise product; a coupled one stores an N x N matrix
-    per mode, exps shape (*half_shape, N, N).  The table is read-only.
+    per mode component-major, exps shape (N, N, *half_shape), so exps[i, j]
+    is the contiguous plane of entry (i, j).  The table is read-only.
     """
 
     grid: Grid
@@ -264,7 +256,7 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     # an overflow in dt * M leaves a non-finite entry, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         m = dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
-        exps = np.exp(m) if _decoupled(spec, folded) else matrix_exp_batch(m)
+        exps = np.exp(m) if m.ndim == grid.d + 1 else matrix_exp_batch(m)
     if not np.all(np.isfinite(exps)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"

@@ -29,8 +29,7 @@ n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.
 Audit-passing systems (diagonal D, T[i] and L) propagate elementwise, N
 scalar exponentials per mode; coupled systems apply an N x N matrix per
 mode.  A run builds one propagator table (exp(dt M) for exact steps, E2 for
-IF-RK4); the last one built for a spec is kept with the spec and reused by
-the next run on the same grid and step.
+IF-RK4) and drops it when it returns.
 
 State with any |value| > 1e12 or a non-finite entry aborts the run and
 returns the series recorded before it, flagged with the step where it
@@ -41,14 +40,12 @@ checked after its step.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, DimensionMismatchError, Field, Grid, SystemSpec
-from .spectral import ModePropagator, build_propagator
+from .spectral import build_propagator
 
 __all__ = [
     "RunConfig",
@@ -71,11 +68,6 @@ EXP_RANGE_BUDGET = 700.0
 MAX_STEPS = 1_000_000
 
 CSV_HEADER = "t,component,min,argmin_index,mass,l2norm"
-
-# the last propagator table built for each live spec, as ((grid, dt), table);
-# a run needs one table, and the entry is dropped with its spec
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES_LOCK = threading.Lock()
 
 
 class ReactionOverflowError(ArithmeticError):
@@ -167,16 +159,6 @@ def suggest_dt(spec: SystemSpec, grid: Grid, t_end: float) -> float:
     return t_end / steps
 
 
-def _propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
-    """build_propagator, reusing the table of the last call on this spec if grid and dt match."""
-    key = (grid, dt)
-    with _TABLES_LOCK:
-        cached = _TABLES.get(spec)
-        if cached is None or cached[0] != key:
-            cached = _TABLES[spec] = (key, build_propagator(spec, grid, dt))
-        return cached[1]
-
-
 def _diagnostics_row(values: np.ndarray, grid: Grid) -> np.ndarray:
     w = grid.spacing**grid.d
     flat = values.reshape(values.shape[0], -1)
@@ -219,14 +201,14 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
 
     coeffs = fft.rfftn(u0.values, axes=axes)
     if spec.reaction.linear_matrix(spec.ncomp) is not None:
-        prop = _propagator(spec, grid, dt)
+        prop = build_propagator(spec, grid, dt)
         values = None  # a linear step reads only the spectrum
 
         def advance(c: np.ndarray, values, step: int) -> np.ndarray:
             return prop.apply(c)
 
     else:
-        half = _propagator(spec, grid, dt / 2.0)
+        half = build_propagator(spec, grid, dt / 2.0)
         mask = grid.half_dealias_mask if rc.dealias else None
         react = spec.reaction
 

@@ -32,6 +32,23 @@ def mode_exponential_step(spec, grid, values, dt):
     return np.fft.ifftn(out.reshape(values.shape), axes=axes).real
 
 
+def apply_modes_components_innermost(table, coeffs):
+    """A coupled table applied as first written: mode-major table, components innermost.
+
+    `table` holds one N x N matrix per mode, shape (*mesh, N, N).  Output
+    component i is formed as table[..., i, 0] * c_0, then += table[..., i, j]
+    * c_j for each later j, into a (*mesh, N) array whose components are
+    moved to the front at the end.
+    """
+    n = coeffs.shape[0]
+    out = np.empty(coeffs.shape[1:] + (n,), dtype=np.result_type(table, coeffs))
+    for i in range(n):
+        np.multiply(table[..., i, 0], coeffs[0], out=out[..., i])
+        for j in range(1, n):
+            out[..., i] += table[..., i, j] * coeffs[j]
+    return np.moveaxis(out, -1, 0)
+
+
 def scalar_decay_solution(grid, values1, t):
     """Exact solution of u_t = lap^3 u for one component, per-mode decay."""
     n = grid.n

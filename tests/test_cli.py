@@ -1,11 +1,15 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import random
+import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +130,19 @@ def test_probe_command_transport(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["reference"] == -1.0
     assert payload["relative_error"] < 0.01
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_probe_box_alone_keeps_the_default_grid(tmp_path, capsys, d):
+    # --box without --n takes the dimension's default n, as counterexample does
+    runs = []
+    for box in ([], ["--box", "2.2"]):
+        out = tmp_path / str(len(runs))
+        code, stdout, err = run_cli(
+            ["probe", "--kind", "diffusion", "--d", str(d), *box, "--out", str(out)], capsys)
+        assert code == 0, err
+        runs.append((stdout, json.loads((out / "manifest.json").read_text())["config"]["n"]))
+    assert runs[0] == runs[1] and runs[0][1] == 128
 
 
 def test_counterexample_diffusion(tmp_path, capsys):
@@ -433,10 +450,11 @@ def test_simulate_blowup_exits_5(tmp_path, capsys):
     }
     path = tmp_path / "blow.json"
     path.write_text(json.dumps(cfg))
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         ["simulate", str(path), "--t-end", "2.0", "--dt", "0.015625",
-         "--u0", "constant:2.0", "--out", str(tmp_path / "o")], capsys)
+         "--u0", "constant:2.0", "--out", str(tmp_path / "o"), "--json"], capsys)
     assert code == 5
+    assert err.startswith("simulate: blew up at step "), err
 
 
 def test_simulate_over_the_step_budget_exits_4_before_a_step(tmp_path, capsys, monkeypatch):
@@ -607,3 +625,83 @@ def test_audit_fuzz_never_raises_or_exits_5(name, mutations):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["audit", str(path), "--samples", "8", "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3, 4), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# seeded mutation fuzz: audit, simulate and ode-check on the example configs
+# with one or two leaves replaced by junk: wrong types, NaN, +-inf, +-1e308,
+# bad shapes and plain numbers
+
+JUNK = ("x", None, True, [], {}, [1.0], [[1.0, 2.0]], float("nan"), float("inf"),
+        -float("inf"), 1e308, -1e308, 1e-308, 10**400, 0, -1, 0.5, 2.0, -3.0, 1e3)
+FUZZ_COMMANDS = {
+    "audit": ["--samples", "8"],
+    "simulate": ["--t-end", "0.01"],
+    "ode-check": ["--t-end", "0.0625"],  # 8 steps of the default dt, 1/128
+}
+FUZZ_SECONDS = 2.0
+
+
+class _Overtime(BaseException):
+    """Raised by the fuzz's timer; not an Exception, so the CLI boundary lets it through."""
+
+
+def _fuzz_case(seed):
+    """(command, config) for one seed: an example config on an n=8 grid, 1-2 leaves replaced."""
+    rng = random.Random(seed)
+    command = sorted(FUZZ_COMMANDS)[seed % len(FUZZ_COMMANDS)]
+    name = rng.choice(sorted(p.name for p in CONFIGS.glob("*.json")))
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg["grid"]["n"] = 8
+
+    def at(path):
+        return functools.reduce(lambda node, key: node[key], path, cfg)
+
+    for _ in range(rng.randint(1, 2)):
+        leaves = [p for p in _paths(cfg) if not isinstance(at(p), (dict, list))]
+        cfg = _replaced(cfg, rng.choice(leaves), rng.choice(JUNK))
+    return command, cfg
+
+
+def _fuzz_seeds(count, known):
+    for seed in range(count):
+        reason = known.get(seed)
+        yield seed if reason is None else pytest.param(
+            seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+# a propagator that overflows is reported as a runtime error, exit 5, though no
+# state blew up: a T entry of 1e308 makes dt * xi * T non-finite
+OVERFLOW = "exit 5 for a propagator overflow, not a blow-up"
+# box 0.5 at n=8 puts |xi|^6 near 1.6e10, so suggest_dt takes about 115,000 steps
+SLOW = "suggest_dt's range cap makes t_end = 0.01 take about 115,000 steps"
+
+
+@pytest.mark.parametrize("seed", _fuzz_seeds(200, {131: SLOW, 137: OVERFLOW, 146: OVERFLOW}))
+def test_mutated_configs_map_to_documented_exit_codes(tmp_path, capsys, seed):
+    command, cfg = _fuzz_case(seed)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    case = f"{command} {json.dumps(cfg)}"
+
+    def overtime(signum, frame):
+        raise _Overtime
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    # record warnings instead of raising them, as a plain process would print them
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = [command, str(path), *FUZZ_COMMANDS[command], "--out", str(tmp_path / "o")]
+            code, stdout, err = run_cli(argv, capsys)
+    except _Overtime:
+        pytest.fail(f"{case}: still running after {FUZZ_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    case += f": exit {code}, stderr {err!r}"
+    assert code in (0, 2, 3, 4, 5), case
+    assert code != 5 or (command == "simulate" and "blew up at step" in stdout), case
+    assert err or code not in (4, 5), case
+    assert "Warning" not in err and not caught, (case, [str(w.message) for w in caught])

@@ -212,8 +212,8 @@ def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
     for k in range(n):
         row = _rate_symbol(spec, grid, k)
         if coupled:
-            assert row.shape == grid.shape + (1, n)
-            assert row.tobytes() == full[..., k, :].tobytes()
+            assert row.shape == (1, n) + grid.shape
+            assert row.tobytes() == full[k].tobytes()
         else:
             assert row.shape == (1,) + grid.shape
             assert row.tobytes() == full[k].tobytes()

@@ -21,7 +21,7 @@ from trilap import spectral
 from trilap.probes import DiffusionViolation, ReactionViolation, TransportViolation, default_t_probe
 
 from conftest import pd_diffusion, zero_transport
-from oracles import matrix_exp_reference
+from oracles import apply_modes_components_innermost, matrix_exp_reference
 
 
 def _conjugate_mirror(c):
@@ -54,7 +54,8 @@ def test_roundtrip(rng):
     # unit tables in both storage forms leave every mode as it is
     g = Grid(d=2, n=16, box=8.0)
     u = Field(g, rng.standard_normal((2, 16, 16)))
-    for table in (np.ones((2,) + g.shape), np.broadcast_to(np.eye(2), g.shape + (2, 2))):
+    eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2) + g.shape)
+    for table in (np.ones((2,) + g.shape), eye):
         back = _ifft(g, apply_modes(table, _fft(u)))
         assert np.abs(back - u.values).max() < 1e-12
 
@@ -142,11 +143,30 @@ def test_transport_offdiagonal_mixes_components(grid1d, rng):
     vals = np.stack([rng.standard_normal(64), np.sin(2 * np.pi * x / grid1d.box)])
     u = Field(grid1d, vals)
     table = _full_symbol(grid1d, np.eye(2), [gam], with_lap3=False)
-    assert table.shape == grid1d.shape + (2, 2)
+    assert table.shape == (2, 2) + grid1d.shape
     out = _ifft(grid1d, apply_modes(table, _fft(u)))
     k = 2 * np.pi / grid1d.box
     assert np.abs(out[0] - k * np.cos(k * x)).max() < 1e-10
     assert np.abs(out[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("ncomp", [2, 3, 4])
+def test_coupled_apply_has_the_bits_of_the_components_innermost_loop(rng, d, n, ncomp):
+    # component-major tables give the same sums, in the same order, as the
+    # mode-major loop; signed zeros and exact zeros included
+    g = Grid(d=d, n=n, box=8.0)
+
+    def stack(shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a[rng.random(shape) < 0.1] = -0.0
+        a[rng.random(shape) < 0.1] = 0.0
+        return a
+
+    table, coeffs = stack((ncomp, ncomp) + g.half_shape), stack((ncomp,) + g.half_shape)
+    want = apply_modes_components_innermost(np.moveaxis(table, (0, 1), (-2, -1)), coeffs)
+    got = apply_modes(table, coeffs)
+    assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_multiplier_ops_preserve_conjugate_symmetry(rng):
@@ -188,14 +208,14 @@ def test_symbol_half_mesh_and_diagonal_form(rng, d, n):
     coupling = rng.uniform(-1.0, 1.0, (ncomp, ncomp))
     np.fill_diagonal(coupling, 0.0)
     matrix = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded=(coupling,))
-    assert matrix.shape == g.half_shape + (ncomp, ncomp)
-    assert np.array_equal(np.moveaxis(np.diagonal(matrix, axis1=-2, axis2=-1), -1, 0), half)
+    assert matrix.shape == (ncomp, ncomp) + g.half_shape
+    assert np.array_equal(np.moveaxis(np.diagonal(matrix, axis1=0, axis2=1), -1, 0), half)
     # a coupled system's matrix form is cut the same way
     coupled = SystemSpec(d, ncomp, pd_diffusion(rng, ncomp),
                          tuple(rng.uniform(-1.0, 1.0, (ncomp, ncomp)) for _ in range(d)))
     full = symbol(coupled, g.k_sixth, g.deriv_mesh)
-    assert full.shape == g.shape + (ncomp, ncomp)
-    assert np.array_equal(symbol(coupled, g.half_k_sixth, g.half_deriv_mesh), full[..., :cut, :, :])
+    assert full.shape == (ncomp, ncomp) + g.shape
+    assert np.array_equal(symbol(coupled, g.half_k_sixth, g.half_deriv_mesh), full[..., :cut])
 
 
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8)])
@@ -210,7 +230,7 @@ def test_symbol_row_is_the_row_of_the_full_symbol(rng, d, n):
         full = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded)
         for k in range(ncomp):
             row = symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded, row=k)
-            want = full[k:k + 1] if full.ndim == d + 1 else full[..., k:k + 1, :]
+            want = full[k:k + 1]
             assert row.shape == want.shape and row.tobytes() == want.tobytes()
 
 
@@ -258,10 +278,15 @@ def test_matrix_exp_defective_matrix():
 
 
 def test_matrix_exp_batch_shapes(rng):
-    ms = rng.standard_normal((3, 4, 2, 2))
+    ms = rng.standard_normal((2, 2, 3, 4))
     out = matrix_exp_batch(ms)
-    assert out.shape == (3, 4, 2, 2)
-    assert np.abs(out[1, 2] - scipy.linalg.expm(ms[1, 2])).max() < 1e-12
+    assert out.shape == (2, 2, 3, 4)
+    assert np.abs(out[..., 1, 2] - scipy.linalg.expm(ms[..., 1, 2])).max() < 1e-12
+
+
+def _exp_modes_first(ms):
+    """matrix_exp_batch on a stack held (M, N, N), the layout of the reference."""
+    return np.ascontiguousarray(np.moveaxis(matrix_exp_batch(np.moveaxis(ms, 0, -1)), -1, 0))
 
 
 def _exp_stack(rng, n):
@@ -297,15 +322,15 @@ def test_matrix_exp_matches_blas_product_reference(rng, n):
     # and every exactly-zero result stays exactly zero
     ms = _exp_stack(rng, n)
     ref = matrix_exp_reference(ms)
-    out = matrix_exp_batch(ms)
+    out = _exp_modes_first(ms)
     assert out.shape == ref.shape and out.dtype == ref.dtype
     assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     assert np.array_equal(out == 0, ref == 0)
     assert np.any(ref == 0) and np.any(ref[:, 0, 0] == 0)
     # the input stack is never written, also when it is a single matrix
-    one = ms[-1:].copy()
+    one = np.moveaxis(ms[-1:], 0, -1).copy()
     matrix_exp_batch(one)
-    assert np.array_equal(one, ms[-1:])
+    assert np.array_equal(one, np.moveaxis(ms[-1:], 0, -1))
 
 
 def _gershgorin_log_norm(ms):
@@ -347,7 +372,7 @@ def test_matrix_exp_near_the_underflow_threshold(monkeypatch, n):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    out = matrix_exp_batch(ms)
+    out = _exp_modes_first(ms)
     monkeypatch.undo()
     ref = matrix_exp_reference(ms)
     assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -382,7 +407,7 @@ def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
     build_propagator(spec, g, default_t_probe(spec, g))
     monkeypatch.undo()
     ((ms, out),) = stacks
-    ms, out = ms.reshape(-1, 2, 2), out.reshape(-1, 2, 2)
+    ms, out = (np.moveaxis(a.reshape(2, 2, -1), -1, 0) for a in (ms, out))
     live = np.count_nonzero(_gershgorin_log_norm(ms) >= -800.0)
     assert solved == [live]
     assert live <= {2: 0.03, 3: 0.06}[d] * ms.shape[0]
@@ -401,7 +426,7 @@ def test_non_finite_matrices_are_never_skipped():
         [[-2000.0, 0.0], [np.inf, -2000.0]],
         dead,
     ], dtype=complex)
-    out = matrix_exp_batch(ms)
+    out = _exp_modes_first(ms)
     assert np.all(np.isnan(out[:3]))
     assert np.array_equal(out[3], np.zeros((2, 2))) and not np.signbit(out[3].view(float)).any()
     # through the build: dt * M overflows to -inf on a diagonal, to inf off it, or
@@ -428,7 +453,7 @@ def test_nilpotent_mode_exponential_is_exact_at_any_dt(dt):
     # exponential is I + dt * N; scaling chosen by ||A^k||^(1/k) (Al-Mohy and
     # Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009) takes no squaring here
     prop = build_propagator(ReactionViolation().system(1), Grid(1, 256, 4.0), dt)
-    assert np.array_equal(prop.exps[0], [[1.0, -dt], [0.0, 1.0]]), prop.exps[0]
+    assert np.array_equal(prop.exps[..., 0], [[1.0, -dt], [0.0, 1.0]]), prop.exps[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +464,7 @@ def test_propagator_identity_at_zero_mode(rng):
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 2, pd_diffusion(rng, 2), (rng.uniform(-1, 1, (2, 2)),))
     prop = build_propagator(spec, g, dt=0.01)
-    assert np.array_equal(prop.exps[0], np.eye(2))
+    assert np.array_equal(prop.exps[..., 0], np.eye(2))
 
 
 def _half(grid, mesh):
@@ -487,7 +512,8 @@ def test_decoupled_propagator_matches_matrix_exp(rng, d, n, fold):
         symbol = symbol + 1j * _half(g, g.deriv_mesh[axis])[..., None, None] * gam
     if fold:
         symbol = symbol - lin
-    ref = np.diagonal(matrix_exp_batch(dt * symbol), axis1=-2, axis2=-1)
+    exps = matrix_exp_batch(np.moveaxis(dt * symbol, (-2, -1), (0, 1)))
+    ref = np.diagonal(exps, axis1=0, axis2=1)
     assert np.abs(np.moveaxis(prop.exps, 0, -1) - ref).max() < 1e-12
 
 
@@ -500,8 +526,8 @@ def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
     assert build_propagator(twin, g, 0.01).decoupled
     folded = build_propagator(spec, g, 0.01)
     assert not folded.decoupled
-    assert folded.exps.shape == g.half_shape + (2, 2)
-    assert np.abs(folded.exps[..., 0, 1]).max() > 0.0
+    assert folded.exps.shape == (2, 2) + g.half_shape
+    assert np.abs(folded.exps[0, 1]).max() > 0.0
 
 
 def _coupled_case(rng, case):
@@ -535,7 +561,7 @@ def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
     folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
     want = matrix_exp_batch(dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded))
     exps = build_propagator(spec, g, dt).exps
-    assert exps.shape == g.half_shape + (spec.ncomp,) * 2
+    assert exps.shape == (spec.ncomp,) * 2 + g.half_shape
     assert exps.dtype == want.dtype and np.array_equal(exps, want)
 
 
@@ -550,7 +576,7 @@ def test_coupled_build_exponentiates_every_mode_in_one_batch(monkeypatch, rng, c
 
     monkeypatch.setattr(spectral, "matrix_exp_batch", spy)
     build_propagator(spec, g, 3e-3)
-    assert batches == [g.half_shape + (spec.ncomp, spec.ncomp)]
+    assert batches == [(spec.ncomp, spec.ncomp) + g.half_shape]
 
 
 def test_propagator_semigroup(rng):
@@ -558,8 +584,8 @@ def test_propagator_semigroup(rng):
     spec = SystemSpec(1, 2, pd_diffusion(rng, 2), (rng.uniform(-1, 1, (2, 2)),))
     p1 = build_propagator(spec, g, 5e-4)
     p2 = build_propagator(spec, g, 1e-3)
-    composed = np.matmul(p1.exps, p1.exps)
-    assert np.abs(composed - p2.exps).max() < 1e-10
+    e1, e2 = (np.moveaxis(p.exps, (0, 1), (-2, -1)) for p in (p1, p2))
+    assert np.abs(np.matmul(e1, e1) - e2).max() < 1e-10
 
 
 def test_propagator_spectral_radius_bound(rng):
@@ -567,7 +593,7 @@ def test_propagator_spectral_radius_bound(rng):
     sym = rng.uniform(-1, 1, (2, 2))
     spec = SystemSpec(2, 2, pd_diffusion(rng, 2), ((sym + sym.T) / 2, np.eye(2)))
     prop = build_propagator(spec, g, 1e-3)
-    eigs = np.linalg.eigvals(prop.exps.reshape(-1, 2, 2))
+    eigs = np.linalg.eigvals(np.moveaxis(prop.exps.reshape(2, 2, -1), -1, 0))
     assert np.abs(eigs).max() <= 1.0 + 1e-9
 
 

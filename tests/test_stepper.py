@@ -79,7 +79,7 @@ def test_coupled_run_matches_full_complex_oracle(rng, d, n):
     assert np.abs(ts.final_state.values - oracle).max() < 1e-10
 
 
-def test_propagator_tables_reused_per_spec_grid_and_step(build_calls, grid1d):
+def test_each_run_builds_one_propagator_table(build_calls, grid1d):
     calls = build_calls
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LOGISTIC)
     u0 = Field(grid1d, (0.5 + 0.1 * np.cos(2 * np.pi * grid1d.axis_coords / 16.0))[None])
@@ -87,13 +87,13 @@ def test_propagator_tables_reused_per_spec_grid_and_step(build_calls, grid1d):
     first = run(spec, u0, rc)
     assert [c[2] for c in calls] == [0.005]  # the half step only
     again = run(spec, u0, rc)
-    assert len(calls) == 1
+    assert len(calls) == 2  # no table outlives its run
     assert np.array_equal(first.final_state.values, again.final_state.values)
     run(spec, u0, RunConfig(t_end=0.02, dt=0.02))
-    assert len(calls) == 2  # a new step size builds its own table
-    twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LOGISTIC)
-    run(twin, u0, rc)
-    assert len(calls) == 3  # tables belong to one spec object
+    assert len(calls) == 3 and calls[-1][2] == 0.01
+    linear = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1))
+    run(linear, u0, rc)
+    assert len(calls) == 4 and calls[-1][2] == 0.01  # an exact step builds exp(dt M)
 
 
 # F for two components: every coefficient kind (1, -1, other) and a cross term
