@@ -47,6 +47,7 @@ from .probes import (
     probe_grid,
     run_violation_experiment,
 )
+from .spectral import PropagatorOverflowError
 from .stepper import RunConfig, run, suggest_dt
 
 EXIT_OK = 0
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, argv)
-    except (ConfigError, ProbeConstructionError) as err:
+    except (ConfigError, ProbeConstructionError, PropagatorOverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +113,8 @@ class Grid:
     Nyquist frequency has its odd-derivative multiplier zeroed so first
     derivatives of real fields stay real.  The half_* meshes hold the same
     multipliers on the real half spectrum (np.fft.rfftn layout, whose last
-    axis keeps m = 0, ..., n/2).
+    axis keeps m = 0, ..., n/2).  A derivative mesh is one axis vector shaped
+    to broadcast, (1, ..., n, ..., 1); |xi|^6 and the dealiasing mask are full.
     """
 
     d: int
@@ -187,7 +188,7 @@ class Grid:
         # n//2 + 1; every multiplier below is even in that axis or zero at its
         # Nyquist entry, so the cut is exact
         last = per_axis[: self.n // 2 + 1] if half else per_axis
-        return np.meshgrid(*(per_axis,) * (self.d - 1), last, indexing="ij")
+        return np.meshgrid(*(per_axis,) * (self.d - 1), last, indexing="ij", sparse=True)
 
     def _k_squared(self, half: bool) -> np.ndarray:
         return sum(m**2 for m in self._spectral_meshes(self.wavenumbers, half))
@@ -217,7 +218,7 @@ class Grid:
     def half_dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on the half spectrum: True on retained modes."""
         m = np.abs(np.fft.fftfreq(self.n) * self.n)
-        return _readonly(np.logical_and.reduce(self._spectral_meshes(m < self.n / 3.0, half=True)))
+        return _readonly(reduce(np.logical_and, self._spectral_meshes(m < self.n / 3.0, half=True)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -490,7 +490,7 @@ def run_violation_experiment(
         raise ConfigError(f"t_probe must be finite and > 0, got {t_probe}")
     k, j = kind.k, kind.j
     m = _rate_symbol(spec, grid, k)
-    prop = None  # built inside the try, so an overflow drops every eps with its message
+    plane = None  # built inside the try, so an overflow drops every eps with its message
 
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:
@@ -499,11 +499,12 @@ def run_violation_experiment(
             u0_vals = np.zeros((spec.ncomp,) + grid.shape)
             u0_vals[j] = probe.values[0]
             rate_origin = _rate_at_origin(spec, m, Field(grid, u0_vals), k)
-            if prop is None:
+            if plane is None:
                 prop = build_propagator(spec, grid, t_probe)
                 if prop.decoupled:
                     raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
-            vals = fft.irfftn(prop.exps[k, j] * fft.rfftn(probe.values[0]), s=grid.shape)
+                plane, prop = prop.exps[k, j].copy(), None  # the step reads P[k, j] alone
+            vals = fft.irfftn(plane * fft.rfftn(probe.values[0]), s=grid.shape)
             if _too_large(vals):
                 dropped.append((float(eps), "blow-up at step 1"))
                 continue

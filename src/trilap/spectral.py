@@ -23,20 +23,13 @@ coefficient vector by exp(dt * M(xi)).  Propagators live on the half
 spectrum: real fields are conjugate symmetric, so the other half carries no
 information.  Diagonal symbols exponentiate elementwise; coupled ones get
 an N x N exponential per mode by scaling-and-squaring (diagonal Pade of
-order 13, Higham's theta_13 switchover), batched over every mode.
-The exponential flattens the modes into (N, N, M) and forms every product
-as N^3 elementwise multiply-adds over the M matrices (`_mm`), where a
-batched matmul would make one tiny BLAS call per matrix; tables
-agree with that to rounding, not bit for bit.  Most high modes of a
-stiff symbol never reach the Pade: ||exp(A)||_2 <= exp(mu_2(A)), where
-mu_2(A) is the largest eigenvalue of the Hermitian part (A + A^H) / 2,
-and Gershgorin's theorem on that part bounds mu_2 from above in a few
-elementwise passes.  A finite matrix whose bound is below -800 has every
-entry of exp(A) below e^-800, under 2^-1075 (ln = -745.13), so each
-rounds to 0 in doubles: it gets exact zeros.  The margin of e^-55 covers
-the Pade's rounding, which returns zeros there too; the skipped entries
-are +0.0 where the Pade could leave -0.0, so tables are equal as numbers
-(np.array_equal), not byte for byte.
+order 13, Higham's theta_13 switchover), batched over the modes, with every
+product formed as N^3 elementwise multiply-adds (`_mm`): tables agree with
+one tiny BLAS matmul per matrix to rounding, not bit for bit.  A stiff
+symbol's high modes are never assembled: ||exp(A)||_2 <= exp(mu_2(A)), and
+`build_propagator` bounds mu_2(dt * M(xi)) straight from the meshes; below
+-800 every entry of exp rounds to +0.0 (the Pade could leave -0.0 there, so
+tables are equal as numbers, np.array_equal, not byte for byte).
 Spectra follow the unnormalised forward / 1/n^d inverse convention that
 numpy.fft and scipy.fft share;
 odd-derivative multipliers zero the unmatched Nyquist frequency (see
@@ -65,6 +58,12 @@ class PropagatorOverflowError(ArithmeticError):
     """exp(dt * M) produced non-finite entries; reduce dt or the resolution."""
 
 
+def _decoupled(spec: SystemSpec, folded) -> bool:
+    """D, every T[j] and `folded` are diagonal: each mode splits into N scalar symbols."""
+    mats = (spec.diffusion, *spec.transport, *folded)
+    return all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
+
+
 def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=None) -> np.ndarray:
     """M(xi) minus every matrix in `folded`, on the modes of the given meshes.
 
@@ -81,11 +80,9 @@ def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=Non
     moving = [(xi, g) for xi, g in zip(deriv_mesh, spec.transport) if np.any(g)]
     deriv_mesh = [xi for xi, _ in moving]
     mats = (spec.diffusion, *(g for _, g in moving), *folded)
-    # a T[j] left out is zero, so diagonal: each mode splits into N scalar symbols
-    if all(np.array_equal(m, np.diag(np.diag(m))) for m in mats):
-        mats = [np.diag(m) for m in mats]
+    decoupled = _decoupled(spec, folded)
     # the matrix axes lead and broadcast against the meshes, which keep their shape
-    mats = [m[rows][(...,) + (None,) * k_sixth.ndim] for m in mats]
+    mats = [(np.diag(m) if decoupled else m)[rows][(...,) + (None,) * k_sixth.ndim] for m in mats]
     out = -k_sixth * mats[0].astype(complex)
     for xi, g in zip(deriv_mesh, mats[1 : len(moving) + 1]):
         out += (1j * xi) * g
@@ -144,51 +141,19 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# exp(A) rounds to exact zeros once mu_2(A) is below this: ln 2^-1075 = -745.13,
-# less a margin of e^-55 for the Pade's rounding, which then gives zeros too
-_UNDERFLOW_LOG_NORM = -800.0
-
-
-def _log_norm_bound(a: np.ndarray) -> np.ndarray:
-    """Upper bound on mu_2(A) = lambda_max((A + A^H) / 2), per matrix of a stack (N, N, M).
-
-    Gershgorin's theorem on the Hermitian part: its eigenvalues lie in the
-    union of the discs around Re a_ii of radius sum_{j != i} |a_ij + conj(a_ji)| / 2.
-    """
-    n = a.shape[0]
-    bound = np.full(a.shape[-1], -np.inf)
-    for i in range(n):
-        row = a[i, i].real.copy()
-        for j in range(n):
-            if j != i:
-                row += 0.5 * np.abs(a[i, j] + np.conj(a[j, i]))
-        np.maximum(bound, row, out=bound)
-    return bound
-
-
 def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     """exp of a stack of small square matrices held component-major, shape (N, N, *batch).
 
-    A finite matrix whose log-norm bound (`_log_norm_bound`) is below
-    `_UNDERFLOW_LOG_NORM` gets exact zeros: ||exp(A)||_2 <= exp(mu_2(A)), so
-    every entry of exp(A) is below e^-800 < 2^-1075 and rounds to 0.  Such
-    matrices (the high modes of a stiff symbol, most of a stack) skip all
-    that follows; the others go through it.  Per matrix: scale by 2^-s so
-    the 1-norm drops below theta_13, apply the order-13 diagonal Pade
-    approximant, square s times (round k squares the matrices with s > k).
-    All stages run batched on the stack flattened to (N, N, M), so every
-    product is N^3 elementwise multiply-adds over M matrices (`_mm`).
-    A matrix with a NaN or inf entry is never skipped nor scaled, and its
-    exponential is non-finite.
+    Per matrix: scale by 2^-s so the 1-norm drops below theta_13, apply the
+    order-13 diagonal Pade approximant, square s times (round k squares the
+    matrices with s > k).  All stages run batched on the stack flattened to
+    (N, N, M), so every product is N^3 elementwise multiply-adds over M
+    matrices (`_mm`); every matrix goes through every stage.  A matrix with
+    a NaN or inf entry is not scaled, and its exponential is non-finite.
     """
     ms = np.asarray(ms, dtype=complex)
     n = ms.shape[0]
-    out = np.zeros(ms.shape, dtype=complex)
     a = ms.reshape(n, n, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        zero = (_log_norm_bound(a) < _UNDERFLOW_LOG_NORM) & np.isfinite(a).all(axis=(0, 1))
-    live = np.flatnonzero(~zero)
-    a = a.take(live, axis=-1)
     norm1 = np.abs(a).sum(axis=0).max(axis=0)
     eye = np.eye(n, dtype=complex)[..., None]
     b = _PADE13
@@ -197,7 +162,7 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
         # a non-finite matrix is not scaled (its result is non-finite anyway):
         # casting its inf or NaN s to int is undefined
         s = np.where(np.isfinite(s), np.maximum(s, 0.0), 0.0).astype(int)
-        a *= 0.5**s
+        a = a * 0.5**s
         a2 = _mm(a, a)
         a4 = _mm(a2, a2)
         a6 = _mm(a2, a4)
@@ -212,8 +177,7 @@ def matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
             r[..., s > k] = _mm(w, w)
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
     r[..., norm1 == 0.0] = eye
-    out.reshape(n, n, -1)[..., live] = r
-    return out
+    return r.reshape(ms.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +202,49 @@ class ModePropagator:
         return apply_modes(self.exps, coeffs)
 
 
+# exp(A) rounds to exact zeros once mu_2(A) is below this: ln 2^-1075 = -745.13,
+# less a margin of e^-55 for the Pade's rounding, which then gives zeros too
+_UNDERFLOW_LOG_NORM = -800.0
+
+
+def _gershgorin_bounds(spec: SystemSpec, grid: Grid, dt: float, folded) -> np.ndarray:
+    """Upper bound on mu_2(dt * M(xi)) on every half-spectrum mode, formed from no matrix.
+
+    Gershgorin's theorem on the Hermitian part bounds mu_2(A) by its largest row
+    Re a_ii + sum_{j != i} |a_ij + conj(a_ji)| / 2; split over D, T[a] and L by the
+    triangle inequality, row i is dt * (|xi|^6 c_D[i] + sum_a |xi_a| c_T[a][i] + c_L[i]),
+    at least the assembled one.  Where an entry could overflow the bound is +inf.
+    """
+    def rows(m, sign):  # -m_ii (only with sign > 0) + sum_{j != i} |m_ij + sign * m_ji| / 2
+        off = np.abs(m / 2.0 + sign * m.T / 2.0)  # halved first, so finite for every finite m
+        np.fill_diagonal(off, 0.0)
+        return off.sum(axis=1) - (sign > 0) * np.diag(m)
+
+    k6, xis = grid.half_k_sixth, [np.abs(xi) for xi in grid.half_deriv_mesh]
+    terms = [(k6, spec.diffusion), *zip(xis, spec.transport), *((1.0, m) for m in folded)]
+    # 4N times this exceeds every entry of M and of dt * M, and every row below
+    scale = max(dt, 1.0) * sum(np.max(w) * np.abs(m).max() for w, m in terms)
+    if not np.isfinite(4.0 * spec.ncomp * scale):
+        return np.full(grid.half_shape, np.inf)
+    moving = [(xi, t) for xi, g in zip(xis, spec.transport) if (t := rows(g, -1.0)).any()]
+    lin = sum((rows(m, 1.0) for m in folded), np.zeros(spec.ncomp))
+    bound = np.full(grid.half_shape, -np.inf)
+    for i, c in enumerate(rows(spec.diffusion, 1.0)):
+        row = k6 * c + lin[i]
+        for xi, t in moving:
+            row += xi * t[i]
+        np.maximum(bound, dt * row, out=bound)
+    return bound
+
+
 def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     """Precompute exp(dt*M(xi)) for every half-spectrum mode.
 
     When F = L u exactly (Reaction.linear_matrix is not None), L is part of
     the linear flow and is folded in (M - L); other reactions are the caller's.
-    dt = 0 yields the identity on every mode.  Raises
+    dt = 0 yields the identity on every mode.  A coupled system assembles
+    and exponentiates only the modes whose bound (`_gershgorin_bounds`) is
+    -800 or more; every entry elsewhere is +0.0.  Raises
     PropagatorOverflowError if any exponential entry is non-finite, which
     signals dt * |xi|^6 beyond floating-point range.
     """
@@ -255,9 +256,15 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
     folded = () if lin is None else (lin,)
     # an overflow in dt * M leaves a non-finite entry, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        m = dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded)
-        exps = np.exp(m) if m.ndim == grid.d + 1 else matrix_exp_batch(m)
-    if not np.all(np.isfinite(exps)):
+        if _decoupled(spec, folded):
+            exps = live = np.exp(dt * symbol(spec, grid.half_k_sixth, grid.half_deriv_mesh, folded))
+        else:
+            at = np.nonzero(_gershgorin_bounds(spec, grid, dt, folded) >= _UNDERFLOW_LOG_NORM)
+            mesh = [np.broadcast_to(xi, grid.half_shape)[at] for xi in grid.half_deriv_mesh]
+            live = matrix_exp_batch(dt * symbol(spec, grid.half_k_sixth[at], mesh, folded))
+            exps = np.zeros((spec.ncomp,) * 2 + grid.half_shape, dtype=complex)
+            exps[(slice(None),) * 2 + at] = live
+    if not np.all(np.isfinite(live)):
         raise PropagatorOverflowError(
             f"non-finite propagator entries at dt={dt:g}; reduce dt or grid resolution"
         )

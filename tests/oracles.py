@@ -221,3 +221,23 @@ def matrix_exp_reference(ms):
     # exp(0) = I exactly; complex division in the Pade solve leaves eps-level dust
     r[norm1 == 0.0] = np.eye(n, dtype=complex)
     return r.reshape(shape)
+
+
+def full_spectral_meshes(grid, half):
+    """Grid's spectral meshes as first built: every one a full np.meshgrid array.
+
+    Returns (|xi|^6, derivative meshes, dealiasing mask) on the full layout,
+    or on the half spectrum (last axis cut to n//2 + 1) when `half` is set;
+    the mask is only built for the half spectrum.
+    """
+    n, d = grid.n, grid.d
+
+    def meshes(per_axis):
+        last = per_axis[: n // 2 + 1] if half else per_axis
+        return np.meshgrid(*(per_axis,) * (d - 1), last, indexing="ij")
+
+    k6 = sum(m**2 for m in meshes(grid.wavenumbers)) ** 3
+    deriv = tuple(meshes(grid.deriv_wavenumbers))
+    m = np.abs(np.fft.fftfreq(n) * n)
+    mask = np.logical_and.reduce(meshes(m < n / 3.0)) if half else None
+    return k6, deriv, mask

@@ -22,7 +22,7 @@ from trilap import (
 )
 
 from conftest import pd_diffusion, zero_transport
-from oracles import polynomial_reaction_full
+from oracles import full_spectral_meshes, polynomial_reaction_full
 
 
 VALID_CFG = {
@@ -161,6 +161,25 @@ def test_wavenumber_layout():
     # Nyquist zeroed only in the derivative table
     assert k[8] != 0.0
     assert g.deriv_wavenumbers[8] == 0.0
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8)])
+def test_spectral_meshes_broadcast_to_the_full_meshgrid_arrays(d, n):
+    # each derivative mesh is one axis vector shaped (1, ..., n, ..., 1); it
+    # broadcasts to the full np.meshgrid array bit for bit, and |xi|^6 and the
+    # dealiasing mask are the full arrays they always were
+    g = Grid(d=d, n=n, box=8.0)
+    for half, shape in ((False, g.shape), (True, g.half_shape)):
+        k6, deriv, mask = full_spectral_meshes(g, half)
+        got_k6, got = (g.half_k_sixth, g.half_deriv_mesh) if half else (g.k_sixth, g.deriv_mesh)
+        assert got_k6.shape == shape and got_k6.tobytes() == k6.tobytes()
+        assert len(got) == d
+        for axis, (xi, want) in enumerate(zip(got, deriv)):
+            assert xi.shape == tuple(m if i == axis else 1 for i, m in enumerate(shape))
+            assert np.broadcast_to(xi, shape).tobytes() == want.tobytes()
+        if half:
+            assert g.half_dealias_mask.shape == shape
+            assert np.array_equal(g.half_dealias_mask, mask)
 
 
 def test_serialize_roundtrip_identity():

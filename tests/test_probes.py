@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from trilap import (
     run_violation_experiment,
     symbol,
 )
+from trilap import probes
 from trilap.probes import (
     DiffusionViolation,
     ReactionViolation,
@@ -385,6 +387,27 @@ def test_experiment_builds_one_propagator_for_all_eps(build_calls):
         assert rep.eps == (1.0, 0.5, 0.25)
         assert len(build_calls) == 1, kind.label
         build_calls.clear()
+
+
+def test_experiment_keeps_only_the_plane_its_step_reads(monkeypatch):
+    # after the build, the N x N table is freed: the later eps points hold P[k, j] alone
+    tables, alive = [], []
+    real_build, real_probe = probes.build_propagator, probes.build_diffusion_probe
+
+    def build(*args):
+        prop = real_build(*args)
+        tables.append(weakref.ref(prop.exps))
+        return prop
+
+    def probe(*args):
+        alive.append([t() is not None for t in tables])
+        return real_probe(*args)
+
+    monkeypatch.setattr(probes, "build_propagator", build)
+    monkeypatch.setattr(probes, "build_diffusion_probe", probe)
+    rep = run_violation_experiment(DiffusionViolation(), (1.0, 0.5, 0.25), Grid(1, 512, 4.0))
+    assert rep.eps == (1.0, 0.5, 0.25)
+    assert alive == [[], [False], [False]]
 
 
 # rates and minima of ReactionViolation at eps 1, 0.5, 0.25, as computed by

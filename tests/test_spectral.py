@@ -357,40 +357,8 @@ def _near_threshold_stack(n):
     return np.concatenate(stacks).astype(complex)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_matrix_exp_near_the_underflow_threshold(monkeypatch, n):
-    # matrices with a bound below -800 get exact zeros without the Pade; on
-    # both sides of the threshold values and zeros match the reference
-    ms = _near_threshold_stack(n)
-    bound = _gershgorin_log_norm(ms)
-    assert bound.min() == pytest.approx(-900.0) and bound.max() == pytest.approx(-700.0)
-    solved = []
-    real_solve = np.linalg.solve
-
-    def solve(a, b):
-        solved.append(a.shape[0])
-        return real_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    out = _exp_modes_first(ms)
-    monkeypatch.undo()
-    ref = matrix_exp_reference(ms)
-    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-    assert np.array_equal(out == 0, ref == 0)
-    assert np.any(ref[bound >= -800.0] == 0) and np.any(ref != 0)
-    assert solved == [np.count_nonzero(bound >= -800.0)]
-    assert np.all(out[bound < -800.0] == 0)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
-    # the benchmark sweep's coupled builds: few modes escape the underflow
-    # bound, and only those reach the Pade solve
-    if d == 2:
-        kind, g = DiffusionViolation(k=0, j=1, a=1.3), Grid(d=2, n=256, box=4.4)
-    else:
-        kind, g = TransportViolation(k=1, j=0, axis=1, gamma=-1.2), Grid(d=3, n=64, box=2.2)
-    spec = kind.system(d)
+def _spy_pade(monkeypatch):
+    """Record every stack matrix_exp_batch gets (with its result) and every solve's batch size."""
     stacks, solved = [], []
     real_solve, real_exp = np.linalg.solve, spectral.matrix_exp_batch
 
@@ -404,21 +372,86 @@ def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(spectral, "matrix_exp_batch", exp)
-    build_propagator(spec, g, default_t_probe(spec, g))
+    return stacks, solved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matrix_exp_near_the_underflow_threshold(monkeypatch, n):
+    # matrix_exp_batch skips no matrix: one solve sees the whole stack.  On
+    # both sides of the -800 threshold values and zeros match the reference,
+    # and below it every entry is an exact zero, so a build may skip such modes
+    ms = _near_threshold_stack(n)
+    bound = _gershgorin_log_norm(ms)
+    assert bound.min() == pytest.approx(-900.0) and bound.max() == pytest.approx(-700.0)
+    _, solved = _spy_pade(monkeypatch)
+    out = _exp_modes_first(ms)
     monkeypatch.undo()
-    ((ms, out),) = stacks
-    ms, out = (np.moveaxis(a.reshape(2, 2, -1), -1, 0) for a in (ms, out))
-    live = np.count_nonzero(_gershgorin_log_norm(ms) >= -800.0)
-    assert solved == [live]
-    assert live <= {2: 0.03, 3: 0.06}[d] * ms.shape[0]
     ref = matrix_exp_reference(ms)
     assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     assert np.array_equal(out == 0, ref == 0)
+    assert np.any(ref[bound >= -800.0] == 0) and np.any(ref != 0)
+    assert solved == [len(ms)]
+    assert np.all(out[bound < -800.0] == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_matrix_exp_runs_the_pade_only_on_live_sweep_symbols(monkeypatch, d):
+    # the benchmark sweep's coupled builds: few modes escape the underflow
+    # bound, and only those are assembled and reach the Pade, in one solve
+    if d == 2:
+        kind, g = DiffusionViolation(k=0, j=1, a=1.3), Grid(d=2, n=256, box=4.4)
+    else:
+        kind, g = TransportViolation(k=1, j=0, axis=1, gamma=-1.2), Grid(d=3, n=64, box=2.2)
+    spec = kind.system(d)
+    dt = default_t_probe(spec, g)
+    stacks, solved = _spy_pade(monkeypatch)
+    exps = build_propagator(spec, g, dt).exps
+    monkeypatch.undo()
+    ((ms, out),) = stacks
+    live = spectral._gershgorin_bounds(spec, g, dt, ()).ravel() >= -800.0
+    assert ms.shape == (2, 2, np.count_nonzero(live)) and solved == [np.count_nonzero(live)]
+    assert np.count_nonzero(live) <= {2: 0.03, 3: 0.06}[d] * live.size
+    # the stack is the full symbol's live modes, and it holds every mode whose
+    # assembled matrix has a Gershgorin bound of -800 or more
+    full = (dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh)).reshape(2, 2, -1)
+    assert np.array_equal(ms, full[..., live])
+    assert np.all(live[_gershgorin_log_norm(np.moveaxis(full, -1, 0)) >= -800.0])
+    ms, out = (np.moveaxis(a, -1, 0) for a in (ms, out))
+    ref = matrix_exp_reference(ms)
+    assert np.all(np.abs(out - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(out == 0, ref == 0)
+    # the table is the all-mode exponential, with exact zeros on every skipped mode
+    assert np.array_equal(exps, matrix_exp_batch(full).reshape(exps.shape))
+
+
+@pytest.mark.parametrize(("d", "ncomp"), [(d, n) for d in (1, 2, 3) for n in (2, 3, 4)])
+def test_mode_bound_is_at_least_the_gershgorin_bound_of_every_assembled_mode(d, ncomp):
+    # the bound from per-row constants is never below the row bound of the
+    # assembled dt * M, so every mode the Pade could make nonzero is kept
+    rng = np.random.default_rng(100 * d + ncomp)
+    g = Grid(d=d, n={1: 64, 2: 16, 3: 8}[d], box=float(rng.uniform(2.0, 8.0)))
+    gammas = [rng.uniform(-2.0, 2.0, (ncomp, ncomp)) for _ in range(d)]
+    if d > 1:
+        gammas[0] = np.zeros((ncomp, ncomp))  # an axis without transport
+    lin = rng.uniform(-3.0, 3.0, (ncomp, ncomp))
+    for folded in ((), (lin,)):
+        reaction = LinearReaction(lin) if folded else ZeroReaction()
+        spec = SystemSpec(d, ncomp, pd_diffusion(rng, ncomp), tuple(gammas), reaction)
+        for dt in (1e-5, 3e-2, 10.0):
+            bound = spectral._gershgorin_bounds(spec, g, dt, folded)
+            m = dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded)
+            gersh = _gershgorin_log_norm(np.moveaxis(m.reshape(ncomp, ncomp, -1), -1, 0))
+            assert bound.shape == g.half_shape and np.all(np.isfinite(bound))
+            # both sides round sums of O(N) terms; allow 4 ulps of the terms' size
+            size = dt * (g.half_k_sixth * np.abs(spec.diffusion).sum() + sum(
+                np.abs(xi) * np.abs(t).sum() for xi, t in zip(g.half_deriv_mesh, gammas))
+                + sum(np.abs(f).sum() for f in folded))
+            assert np.all(bound.ravel() >= gersh - 4 * np.finfo(float).eps * size.ravel())
 
 
 def test_non_finite_matrices_are_never_skipped():
-    # -inf on a diagonal would pass the bound (the -inf row, the others far
-    # below -800); a NaN or inf entry gives NaN as it always did
+    # a NaN or inf entry gives NaN, also -inf on a diagonal with the other
+    # rows far below -800, and the build reports it
     dead = [[-2000.0, 0.5], [0.0, -2000.0]]
     ms = np.array([
         [[-np.inf, 0.5], [0.0, -2000.0]],
@@ -430,18 +463,27 @@ def test_non_finite_matrices_are_never_skipped():
     assert np.all(np.isnan(out[:3]))
     assert np.array_equal(out[3], np.zeros((2, 2))) and not np.signbit(out[3].view(float)).any()
     # through the build: dt * M overflows to -inf on a diagonal, to inf off it, or
-    # to NaN (dt times an inf imaginary part), and the build reports it
+    # to NaN (dt times an inf imaginary part), and the build reports it.  At
+    # dt = 1e4 every mode holding such an entry has a mode bound far below -800,
+    # or one that does not see it (the antisymmetric part of A, the symmetric
+    # part of T): the build still assembles every mode and reports it
     g = Grid(d=1, n=16, box=8.0)
+    coupled = np.array([[1.0, 0.5], [0.0, 1.0]])
     overflowing = [
         SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
                    LinearReaction([[1e308, 0.5], [0.0, 1.0]])),
         SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
                    LinearReaction([[1.0, -1e308], [0.0, 1.0]])),
         SystemSpec(1, 2, np.eye(2), (np.array([[0.0, 1e308], [0.0, 0.0]]),)),
+        SystemSpec(1, 2, np.eye(2), (np.array([[0.0, 1e308], [1e308, 0.0]]),)),
+        SystemSpec(1, 2, [[1e308, 0.5], [0.0, 1.0]], zero_transport(1, 2)),
+        SystemSpec(1, 2, [[1.0, 1e308], [-1e308, 1.0]], zero_transport(1, 2)),
+        SystemSpec(1, 2, coupled, zero_transport(1, 2), LinearReaction([[1.0, 1e308], [0.0, 1.0]])),
     ]
     for spec in overflowing:
-        with pytest.raises(PropagatorOverflowError):
-            build_propagator(spec, g, 10.0)
+        for dt in (10.0, 1e4):
+            with pytest.raises(PropagatorOverflowError):
+                build_propagator(spec, g, dt)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -567,16 +609,21 @@ def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
 
 @pytest.mark.parametrize("case", ["D2", "T3last", "L2", "N3"])
 def test_coupled_build_exponentiates_every_mode_in_one_batch(monkeypatch, rng, case):
+    # one Pade batch and one solve hold exactly the modes whose bound is -800
+    # or more; every other mode of the table is +0.0
     spec, g = _coupled_case(rng, case)
-    batches = []
-
-    def spy(ms):
-        batches.append(ms.shape)
-        return matrix_exp_batch(ms)
-
-    monkeypatch.setattr(spectral, "matrix_exp_batch", spy)
-    build_propagator(spec, g, 3e-3)
-    assert batches == [(spec.ncomp, spec.ncomp) + g.half_shape]
+    dt = 3e-3
+    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
+    stacks, solved = _spy_pade(monkeypatch)
+    exps = build_propagator(spec, g, dt).exps
+    monkeypatch.undo()
+    live = spectral._gershgorin_bounds(spec, g, dt, folded) >= -800.0
+    # N3's random D is not diagonally dominant: Gershgorin then proves no mode dead
+    assert 0 < np.count_nonzero(live) and (np.count_nonzero(live) < live.size) == (case != "N3")
+    assert [ms.shape for ms, _ in stacks] == [(spec.ncomp,) * 2 + (np.count_nonzero(live),)]
+    assert solved == [np.count_nonzero(live)]
+    dead = exps[:, :, ~live]
+    assert np.all(dead == 0) and not (np.signbit(dead.real).any() or np.signbit(dead.imag).any())
 
 
 def test_propagator_semigroup(rng):
