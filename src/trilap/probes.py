@@ -51,7 +51,7 @@ from .core import (
     SystemSpec,
     ZeroReaction,
 )
-from .spectral import PropagatorOverflowError, apply_modes, build_propagator, symbol
+from .spectral import PropagatorOverflowError, apply_modes, build_propagator, irfftn, rfftn, symbol
 from .stepper import RunConfig, _too_large, run
 
 __all__ = [
@@ -228,13 +228,11 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-# The reads at the origin below (the probes' derivatives and an experiment's
-# rate) stay on numpy.fft; only a violation point's step uses the stepper's
-# scipy.fft.  The d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor,
-# and scipy's roundoff moves the benchmark sweep's rates past their 1e-8
-# references (every sweep of all 8 input variants fails).  Moving them waits
-# until every dilation point is checked against its exact value (ROADMAP
-# items 2 and 3).
+# An experiment's rate at the origin stays on numpy.fft's full complex
+# layout.  The d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor,
+# and the half spectrum's roundoff moves the benchmark sweep's rates past
+# their 1e-8 references.  Moving it waits until every dilation point is
+# checked against its exact value (ROADMAP items 2 and 3).
 
 
 def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
@@ -480,8 +478,6 @@ def run_violation_experiment(
     spectrum, one propagator for every eps.  Component j follows its own
     diagonal flow and cannot blow up, so the blow-up check reads k only.
     """
-    from scipy import fft  # here, so that importing trilap does not load scipy
-
     spec = kind.system(grid.d)
     base = kind.base_mollifier(grid.d)
     if t_probe is None:
@@ -504,7 +500,7 @@ def run_violation_experiment(
                 if prop.decoupled:
                     raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
                 plane, prop = prop.exps[k, j].copy(), None  # the step reads P[k, j] alone
-            vals = fft.irfftn(plane * fft.rfftn(probe.values[0]), s=grid.shape)
+            vals = irfftn(plane * rfftn(probe.values[0], grid.d), grid.n, grid.d, overwrite=True)
             if _too_large(vals):
                 dropped.append((float(eps), "blow-up at step 1"))
                 continue

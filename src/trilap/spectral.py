@@ -30,10 +30,14 @@ symbol's high modes are never assembled: ||exp(A)||_2 <= exp(mu_2(A)), and
 `build_propagator` bounds mu_2(dt * M(xi)) straight from the meshes; below
 -800 every entry of exp rounds to +0.0 (the Pade could leave -0.0 there, so
 tables are equal as numbers, np.array_equal, not byte for byte).
-Spectra follow the unnormalised forward / 1/n^d inverse convention that
-numpy.fft and scipy.fft share;
-odd-derivative multipliers zero the unmatched Nyquist frequency (see
-core.Grid).
+`rfftn` and `irfftn` are the one home of the half-spectrum transforms.  They
+run numpy.fft's 1-D passes in scipy.fft's order: the real pass on the last
+axis (first forward, last inverse) and the complex passes on the other axes
+in increasing order.  So their bits are scipy.fft.rfftn / irfftn's, without
+loading scipy; numpy.fft.rfftn / irfftn run the complex passes in reverse
+order and differ by rounding at d=3.  Spectra follow the unnormalised
+forward / 1/n^d inverse convention; odd-derivative multipliers zero the
+unmatched Nyquist frequency (see core.Grid).
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .core import DimensionMismatchError, Grid, SystemSpec
 __all__ = [
     "ModePropagator",
     "PropagatorOverflowError",
+    "rfftn",
+    "irfftn",
     "symbol",
     "apply_modes",
     "matrix_exp_batch",
@@ -56,6 +62,29 @@ __all__ = [
 
 class PropagatorOverflowError(ArithmeticError):
     """exp(dt * M) produced non-finite entries; reduce dt or the resolution."""
+
+
+def rfftn(values: np.ndarray, d: int) -> np.ndarray:
+    """Half spectrum of real data over its last d axes (leading axes are a batch)."""
+    out = np.fft.rfft(values, axis=-1)
+    for axis in range(out.ndim - d, out.ndim - 1):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
+def irfftn(coeffs: np.ndarray, n: int, d: int, overwrite: bool = False) -> np.ndarray:
+    """Real samples, n per axis, of half spectra over their last d axes.
+
+    With `overwrite` set the complex passes run in place on `coeffs`, whose
+    contents are then garbage; otherwise the first one writes a new array and
+    `coeffs` is left as it was.  Each pass scales by 1/n where scipy.fft
+    scales by 1/n^d once; n is a power of two (core.Grid), so the scalings
+    are exact and the bits agree.
+    """
+    for axis in range(coeffs.ndim - d, coeffs.ndim - 1):
+        coeffs = np.fft.ifft(coeffs, axis=axis, out=coeffs if overwrite else None)
+        overwrite = True  # later passes run on the first pass's own output
+    return np.fft.irfft(coeffs, n=n, axis=-1)
 
 
 def _decoupled(spec: SystemSpec, folded) -> bool:

@@ -22,10 +22,12 @@ default.  An ETDRK4 variant would trade the exactness of the linear
 substeps for one fewer nonlinear stage; exactness wins here.
 
 Fields are real, so the state is carried as its half spectrum
-(scipy.fft.rfftn / irfftn, Grid.half_shape modes) and every propagator is
+(spectral.rfftn / irfftn, Grid.half_shape modes) and every propagator is
 built on that layout.  Each state is transformed back once: the samples of
 step n serve its blow-up check, its record and stage 1 of step n+1, so an
-n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.
+n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.  The
+stage spectra are dead once transformed back, so their inverses run in
+place; the state's inverse leaves it intact.
 Audit-passing systems (diagonal D, T[i] and L) propagate elementwise, N
 scalar exponentials per mode; coupled systems apply an N x N matrix per
 mode.  A run builds one propagator table (exp(dt M) for exact steps, E2 for
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DimensionMismatchError, Field, Grid, SystemSpec
-from .spectral import build_propagator
+from .spectral import build_propagator, irfftn, rfftn
 
 __all__ = [
     "RunConfig",
@@ -182,10 +184,6 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     The state is checked for blow-up after every step, so blowup_step does
     not depend on the output stride.
     """
-    # imported here, not at module level, so that importing trilap (and the
-    # CLI's audit) does not load scipy
-    from scipy import fft
-
     grid = u0.grid
     if grid.d != spec.d:
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
@@ -193,13 +191,12 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         raise DimensionMismatchError(
             f"initial data has {u0.ncomp} components, system has {spec.ncomp}"
         )
-    axes = tuple(range(1, grid.d + 1))
     dt = rc.dt
 
-    def to_values(c: np.ndarray) -> np.ndarray:
-        return fft.irfftn(c, s=grid.shape, axes=axes)
+    def to_values(c: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        return irfftn(c, grid.n, grid.d, overwrite)
 
-    coeffs = fft.rfftn(u0.values, axes=axes)
+    coeffs = rfftn(u0.values, grid.d)
     if spec.reaction.linear_matrix(spec.ncomp) is not None:
         prop = build_propagator(spec, grid, dt)
         values = None  # a linear step reads only the spectrum
@@ -216,7 +213,7 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             f = react.evaluate(values)
             if not np.all(np.isfinite(f)):
                 raise ReactionOverflowError(step)
-            fc = fft.rfftn(np.negative(f, out=f), axes=axes)
+            fc = rfftn(np.negative(f, out=f), grid.d)
             if mask is not None:
                 fc *= mask
             return fc
@@ -225,9 +222,9 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             # stage 1 reads the values of c that the previous step computed; N1
             # and the stage states u2, u3, u4 stay unnamed so each is freed once used
             h, g = half.apply(c), half.apply(nonlinear(values, step))
-            n2 = nonlinear(to_values(h + (dt / 2.0) * g), step)
-            n3 = nonlinear(to_values(h + (dt / 2.0) * n2), step)
-            n4 = nonlinear(to_values(half.apply(h + dt * n3)), step)
+            n2 = nonlinear(to_values(h + (dt / 2.0) * g, overwrite=True), step)
+            n3 = nonlinear(to_values(h + (dt / 2.0) * n2, overwrite=True), step)
+            n4 = nonlinear(to_values(half.apply(h + dt * n3), overwrite=True), step)
             return half.apply(h + (dt / 6.0) * g + (dt / 3.0) * (n2 + n3)) + (dt / 6.0) * n4
 
         values = to_values(coeffs)

@@ -35,20 +35,23 @@ SCIPY_PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
     "trilap.cli.main(['audit', sys.argv[2], '--out', sys.argv[3]]); "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "trilap.cli.main(['simulate', sys.argv[2], '--t-end', '0.1', '--out', sys.argv[3]]); "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 )
 
 
 def test_import_and_audit_do_not_load_scipy(tmp_path):
-    # scipy (the stepper's FFTs, the probes' erfc) loads on first use only
+    # scipy (the probes' erfc, ode-check's expm) loads on first use only; simulate
+    # transforms with numpy.fft alone
     src = str(Path(trilap.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, src, str(CONFIGS / "diagonal_logistic.json"),
          str(tmp_path)],
         capture_output=True, text=True, check=True,
     )
-    after_import, _, after_audit = proc.stdout.splitlines()
-    assert after_import == "[]" and after_audit == "[]", proc.stdout
+    after_import, _, after_audit, _, after_simulate = proc.stdout.splitlines()
+    assert after_import == after_audit == after_simulate == "[]", proc.stdout
 
 
 def test_audit_pass(tmp_path, capsys):

@@ -60,6 +60,36 @@ def test_roundtrip(rng):
         assert np.abs(back - u.values).max() < 1e-12
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("batch", [(), (1,), (3,)])
+def test_half_spectrum_transforms_have_the_bits_of_scipy_fft(rng, d, n, batch):
+    import scipy.fft
+
+    values = rng.standard_normal(batch + (n,) * d)
+    axes = tuple(range(len(batch), len(batch) + d))
+    assert _same_bits(spectral.rfftn(values, d), scipy.fft.rfftn(values, axes=axes))
+    # any half spectrum, not only one of real data
+    shape = batch + (n,) * (d - 1) + (n // 2 + 1,)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = scipy.fft.irfftn(coeffs, s=(n,) * d, axes=axes)
+    for overwrite in (False, True):
+        assert _same_bits(spectral.irfftn(coeffs.copy(), n, d, overwrite=overwrite), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_irfftn_leaves_its_input_unless_told_to_overwrite(rng, d):
+    coeffs = spectral.rfftn(rng.standard_normal((2,) + (8,) * d), d)
+    kept = coeffs.copy()
+    coeffs.setflags(write=False)
+    spectral.irfftn(coeffs, 8, d)
+    assert _same_bits(coeffs, kept)
+
+
 def test_constant_field_spectrum(grid1d):
     u = Field(grid1d, np.ones((1, 64)))
     c = _fft(u)[0]

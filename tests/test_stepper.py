@@ -14,6 +14,7 @@ from trilap import (
     min_component_value,
     run,
 )
+from trilap import probes, spectral, stepper
 
 from conftest import pd_diffusion, zero_transport
 from oracles import if_rk4_two_tables, mode_exponential_step, scalar_decay_solution
@@ -262,18 +263,20 @@ def test_blowup_flagged_with_partial_series():
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Counts of the scipy.fft.rfftn and irfftn calls made during the test."""
-    import scipy.fft
+    """Counts of the trilap.spectral.rfftn and irfftn calls made during the test.
 
+    Each is counted in spectral and in every module that imports it.
+    """
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
-        real = getattr(scipy.fft, name)
+        real = getattr(spectral, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+        for module in (spectral, stepper, probes):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
