@@ -242,6 +242,7 @@ def _cmd_simulate(args, argv) -> int:
     if args.dt is not None:
         _positive(args.dt, "--dt")
     _require(args.stride >= 1, "--stride", ">= 1", args.stride)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     text = _read_config(args.config)
     spec = load_system(text)
     grid = load_grid(text)
@@ -298,11 +299,17 @@ def _cmd_probe(args, argv) -> int:
         if args.r0 is None or args.r1 is None:
             raise ConfigError("--r0 and --r1 must be given together")
         mol = Mollifier(args.r0, args.r1)
+    try:
+        reference = (-float(grid.d) ** 3 / args.eps**6 if args.kind == "diffusion"
+                     else -args.sign / args.eps)
+    except (OverflowError, ZeroDivisionError):  # eps**6 out of range
+        reference = math.inf
+    _require(math.isfinite(reference) and reference != 0, "--eps",
+             "such that the reference is finite and nonzero", args.eps)
 
     if args.kind == "diffusion":
         fld = build_diffusion_probe(grid, args.eps, mol)
         value = lap3_at_origin(fld)
-        reference = -float(grid.d) ** 3 / args.eps**6
         payload = {
             "kind": "diffusion",
             "lap3_at_origin": value,
@@ -317,7 +324,6 @@ def _cmd_probe(args, argv) -> int:
         axis = _index(args.axis, "--axis", grid.d)
         fld = build_transport_probe(grid, axis, args.sign, args.eps, mol)
         value = axis_derivative_at_origin(fld, axis)
-        reference = -args.sign / args.eps
         payload = {
             "kind": "transport",
             "axis_derivative_at_origin": value,

@@ -228,18 +228,11 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-# The probes' derivative reads keep numpy.fft.rfftn, whose forward complex
-# passes run in reverse order (not spectral.rfftn's), so that `trilap probe
-# --d 3` keeps its output bits; merging the two paths moves lap3_at_origin by
-# 3.4e-10 relative at eps=1.  That waits for ROADMAP item 3.
-
-
 def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
     """One component times a half-spectrum multiplier, read at the origin sample."""
     grid = u.grid
-    axes = tuple(range(grid.d))
-    coeffs = multiplier * np.fft.rfftn(u.values[component], axes=axes)
-    return float(np.fft.irfftn(coeffs, s=grid.shape, axes=axes)[grid.origin_index])
+    values = irfftn(multiplier * rfftn(u.values[component], grid.d), grid.n, grid.d)
+    return float(values[grid.origin_index])
 
 
 def lap3_at_origin(u: Field, component: int = 0) -> float:
@@ -272,36 +265,29 @@ def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
     return Field(grid, lin - spec.reaction.evaluate(u0.values))
 
 
-def _rate_at_origin(spec: SystemSpec, m: np.ndarray, u0: Field, k: int) -> float:
+def _rate_at_origin(spec: SystemSpec, m: np.ndarray, probe: Field, k: int, j: int) -> float:
     """Component k of `initial_rate_field` at the origin sample, bit for bit.
 
-    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  Components
-    whose bits are all +0.0 are skipped, in the transform and in the row
-    product: their spectra are +0.0, and adding the signed zeros of their
-    products leaves every nonzero entry as it is.  The rest of row k of
-    `apply_modes` is formed in its order.  The inverse runs last axis
-    first, as ifftn does, keeping the origin of each transformed axis: the
-    same lines, each transformed alone, give the same bits (README
-    "Numerical notes").  With nothing left, the linear part is 0.0 and no
-    inverse runs.
+    The initial data hold `probe` in component j and +0.0 everywhere else.
+    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  The other
+    components' spectra are +0.0, and adding the signed zeros of their
+    products leaves every nonzero entry as it is, so a coupled row's linear
+    part is its entry j times the probe's spectrum; a diagonal row reads
+    component k alone, which is zero, and gives 0.0.  The inverse runs last
+    axis first, as ifftn does, keeping the origin of each transformed axis:
+    the same lines, each transformed alone, give the same bits (README
+    "Numerical notes").
     """
-    grid = u0.grid
-    axes = tuple(range(grid.d))
-    diagonal = m.ndim == grid.d + 1  # (1, *mesh) reads component k only; (1, N, *mesh) all
-    live = [c for c in ((k,) if diagonal else range(spec.ncomp))
-            if u0.values[c].view(np.uint64).any()]
+    grid = probe.grid
     lin = 0.0
-    if live:
-        terms = ((m[0] if diagonal else m[0, c]) * np.fft.fftn(u0.values[c], axes=axes)
-                 for c in live)
-        line = next(terms)
-        for term in terms:
-            line += term
-        for _ in axes:
+    if m.ndim > grid.d + 1:  # (1, N, *mesh) is a coupled row, (1, *mesh) a diagonal one
+        line = m[0, j] * np.fft.fftn(probe.values[0])
+        for _ in range(grid.d):
             line = np.fft.ifft(line)[..., grid.n // 2]
         lin = line.real
     # the reaction is elementwise, so evaluating it at the origin sample alone keeps its bits
-    at_origin = u0.values[(slice(None),) + grid.origin_index][:, np.newaxis]
+    at_origin = np.zeros((spec.ncomp, 1))
+    at_origin[j, 0] = probe.values[(0,) + grid.origin_index]
     return float(lin - spec.reaction.evaluate(at_origin)[k, 0])
 
 
@@ -343,12 +329,11 @@ class _ViolationKind:
     def repaired_system(self, d: int) -> SystemSpec:
         return _identity_system(d, self.ncomp)
 
-    def probe(self, grid: Grid, eps: float, mollifier: Mollifier) -> Field:
-        return build_diffusion_probe(grid, eps, mollifier)
-
-    def base_mollifier(self, d: int) -> Mollifier:
+    def probe(self, grid: Grid, eps: float) -> Field:
+        """The eps-dilated probe that component j holds."""
         # small r0: the dilated eps datapoints need the widest inner ramp available
-        return Mollifier(0.05 * LN2 / d, 1.3 if d == 1 else 0.9)
+        base = Mollifier(0.05 * LN2 / grid.d, 1.3 if grid.d == 1 else 0.9)
+        return build_diffusion_probe(grid, eps, base.scaled(eps))
 
     def params(self) -> dict:
         return asdict(self)
@@ -398,12 +383,9 @@ class TransportViolation(_ViolationKind):
         gammas[self.axis][self.k, self.j] = self.gamma
         return _identity_system(d, self.ncomp, transport=tuple(gammas))
 
-    def probe(self, grid: Grid, eps: float, mollifier: Mollifier) -> Field:
+    def probe(self, grid: Grid, eps: float) -> Field:
         sign = 1 if self.gamma > 0 else -1
-        return build_transport_probe(grid, self.axis, sign, eps, mollifier)
-
-    def base_mollifier(self, d: int) -> Mollifier:
-        return transport_probe_mollifier()
+        return build_transport_probe(grid, self.axis, sign, eps)
 
 
 @dataclass(frozen=True)
@@ -488,7 +470,6 @@ def run_violation_experiment(
     import scipy.special  # noqa: F401
 
     spec = kind.system(grid.d)
-    base = kind.base_mollifier(grid.d)
     if t_probe is None:
         t_probe = default_t_probe(spec, grid)
     if not (math.isfinite(t_probe) and t_probe > 0):
@@ -500,10 +481,8 @@ def run_violation_experiment(
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:
         try:
-            probe = kind.probe(grid, eps, base.scaled(eps))
-            u0_vals = np.zeros((spec.ncomp,) + grid.shape)
-            u0_vals[j] = probe.values[0]
-            rate_origin = _rate_at_origin(spec, m, Field(grid, u0_vals), k)
+            probe = kind.probe(grid, eps)
+            rate_origin = _rate_at_origin(spec, m, probe, k, j)
             if plane is None:
                 prop = build_propagator(spec, grid, t_probe)
                 if prop.decoupled:

@@ -34,9 +34,8 @@ tables are equal as numbers, np.array_equal, not byte for byte).
 run numpy.fft's 1-D passes in scipy.fft's order: the real pass on the last
 axis (first forward, last inverse) and the complex passes on the other axes
 in increasing order.  So their bits are scipy.fft.rfftn / irfftn's, without
-loading scipy.  numpy.fft.irfftn runs the inverse passes in that order
-too; numpy.fft.rfftn runs its forward complex passes in reverse order and
-differs by rounding at d=3.  Spectra follow the unnormalised
+loading scipy; numpy.fft.rfftn runs its forward complex passes in reverse
+order and differs by rounding at d=3.  Spectra follow the unnormalised
 forward / 1/n^d inverse convention; odd-derivative multipliers zero the
 unmatched Nyquist frequency (see core.Grid).
 """

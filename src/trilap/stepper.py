@@ -34,7 +34,7 @@ IF-RK4) and drops it when it returns.
 State with any |value| > 1e12 or a non-finite entry aborts the run and
 returns the series recorded before it, flagged with the step where it
 happened, whatever the output stride: every state is transformed back and
-checked after its step.
+checked after its step.  Initial data past 1e12 are a ConfigError.
 """
 
 from __future__ import annotations
@@ -188,6 +188,10 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     if u0.ncomp != spec.ncomp:
         raise DimensionMismatchError(
             f"initial data has {u0.ncomp} components, system has {spec.ncomp}"
+        )
+    if _too_large(u0.values):
+        raise ConfigError(
+            f"initial data must lie within +-{BLOWUP_THRESHOLD:g}, the blow-up threshold"
         )
     dt = rc.dt
 

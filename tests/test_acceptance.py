@@ -103,7 +103,7 @@ def test_criterion_4_negativity_certificates():
         certified = rep.min_after_t_probe[-1] < -1e-8 and rep.negativity_observed
         # control: repaired system's rate at every zero of the pinned component
         spec = kind.repaired_system(grid.d)
-        probe = kind.probe(grid, eps[-1], kind.base_mollifier(grid.d).scaled(eps[-1]))
+        probe = kind.probe(grid, eps[-1])
         vals = np.zeros((spec.ncomp,) + grid.shape)
         vals[kind.j] = probe.values[0]
         rate = initial_rate_field(spec, Field(grid, vals))

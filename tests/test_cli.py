@@ -343,6 +343,8 @@ REJECTED_FLAG_MESSAGES = {
     ("--eps", "0"): "--eps must be finite and > 0, got 0",
     # `probe --eps` takes one number, `counterexample --eps` a list
     ("probe", "--eps", "nan"): "--eps must be finite and > 0, got nan",
+    ("--eps", "1e-60"): "--eps must be such that the reference is finite and nonzero, got 1e-60",
+    ("--eps", "1e-52"): "--eps must be such that the reference is finite and nonzero, got 1e-52",
 }
 
 
@@ -384,6 +386,14 @@ REJECTED_FLAG_MESSAGES = {
     ["probe", "--kind", "diffusion", "--d", "1", "--eps", "0"],
     ["probe", "--kind", "diffusion", "--d", "1", "--eps", "nan"],
     ["ode-check", "{config}", "--u0", "1,2,3"],
+    ["simulate", "{config}", "--t-end", "0.1", "--seed", "-1"],
+    # the reference -d^3/eps^6 or -sign/eps leaves double range
+    ["probe", "--kind", "diffusion", "--d", "1", "--eps", "1e-60"],
+    ["probe", "--kind", "diffusion", "--d", "1", "--eps", "1e-52"],
+    ["probe", "--kind", "transport", "--d", "1", "--eps", "1e-320"],
+    # initial data past the blow-up threshold
+    ["simulate", "{config}", "--t-end", "0.1", "--u0", "constant:1e308,1e308"],
+    ["ode-check", "{config}", "--u0", "1e308"],
 ])
 def test_rejected_arguments_exit_4(tmp_path, capsys, argv):
     config = str(CONFIGS / "diagonal_logistic.json")

@@ -96,15 +96,16 @@ def test_diffusion_probe_eps_scaling_factor():
     assert v2 / v1 == pytest.approx(64.0, rel=0.05)
 
 
-def test_lap3_fast_path_matches_spectral_route(rng):
-    g = Grid(d=2, n=32, box=4.0)
-    x = g.axis_coords
-    vals = np.exp(-0.5 * (x[:, None] ** 2 + x[None, :] ** 2) / 0.09)[None]
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lap3_fast_path_matches_spectral_route(d):
+    g = Grid(d=d, n=32, box=4.0)
+    mesh = np.meshgrid(*([g.axis_coords] * d), indexing="ij")
+    vals = np.exp(-0.5 * sum(x**2 for x in mesh) / 0.09)[None]
     f = Field(g, vals)
-    # independent full complex round trip: -(kx^2 + ky^2)^3 from fftfreq
+    # independent full complex round trip: -|k|^6 from fftfreq
     k = 2 * np.pi * np.fft.fftfreq(g.n, d=g.box / g.n)
-    k6 = (k[:, None] ** 2 + k[None, :] ** 2) ** 3
-    slow = np.fft.ifft2(-k6 * np.fft.fft2(vals[0])).real
+    k6 = sum(kx**2 for kx in np.meshgrid(*([k] * d), indexing="ij")) ** 3
+    slow = np.fft.ifftn(-k6 * np.fft.fftn(vals[0])).real
     want = slow[g.origin_index]
     assert lap3_at_origin(f) == pytest.approx(want, rel=1e-9)
 
@@ -126,10 +127,9 @@ def test_transport_probe_derivative_and_sign():
 
 def test_transport_probe_eps_scaling():
     g = probe_grid(1)
-    base = TransportViolation().base_mollifier(1)
-    d_full = axis_derivative_at_origin(build_transport_probe(g, 0, 1, 1.0, base), 0)
-    d_half = axis_derivative_at_origin(
-        build_transport_probe(g, 0, 1, 0.5, base.scaled(0.5)), 0)
+    kind = TransportViolation()
+    d_full = axis_derivative_at_origin(kind.probe(g, 1.0), 0)
+    d_half = axis_derivative_at_origin(kind.probe(g, 0.5), 0)
     assert d_half / d_full == pytest.approx(2.0, rel=0.05)
 
 
@@ -174,7 +174,7 @@ def test_initial_rate_negative_under_forbidden_coupling():
     kind = DiffusionViolation()
     spec = kind.system(1)
     vals = np.zeros((2,) + g.shape)
-    vals[1] = build_diffusion_probe(g, 1.0, kind.base_mollifier(1)).values[0]
+    vals[1] = kind.probe(g, 1.0).values[0]
     rate = initial_rate_field(spec, Field(g, vals))
     assert rate.values[(0,) + g.origin_index] < -0.5
 
@@ -188,12 +188,18 @@ def _rate_cases():
         yield d, DiffusionViolation(a=0.7)
         yield from ((d, TransportViolation(axis=axis, gamma=-1.3)) for axis in range(d))
         yield d, ReactionViolation(k=1, j=0)
+    for d in (1, 2, 3):  # a +0.0 component between k and j
+        yield d, DiffusionViolation(k=2, j=0, a=1.3)
+        yield d, ReactionViolation(k=2, j=0)
 
 
-def _assert_rate_bits_match_the_field(spec, u0, k):
-    m = _rate_symbol(spec, u0.grid, k)
-    field = initial_rate_field(spec, u0).values[(k,) + u0.grid.origin_index]
-    fast = _rate_at_origin(spec, m, u0, k)
+def _assert_rate_bits_match_the_field(spec, probe, k, j):
+    grid = probe.grid
+    vals = np.zeros((spec.ncomp,) + grid.shape)
+    vals[j] = probe.values[0]
+    m = _rate_symbol(spec, grid, k)
+    field = initial_rate_field(spec, Field(grid, vals)).values[(k,) + grid.origin_index]
+    fast = _rate_at_origin(spec, m, probe, k, j)
     assert np.float64(fast).tobytes() == np.float64(field).tobytes(), (fast, field)
 
 
@@ -225,16 +231,14 @@ def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
 @pytest.mark.parametrize("eps", [1.0, 0.5])
 def test_rate_at_origin_is_the_rate_field_at_the_origin_bit_for_bit(d, kind, eps):
     grid = RATE_GRIDS[d]
-    spec = kind.system(d)
-    vals = np.zeros((spec.ncomp,) + grid.shape)
-    vals[kind.j] = kind.probe(grid, eps, kind.base_mollifier(d).scaled(eps)).values[0]
-    _assert_rate_bits_match_the_field(spec, Field(grid, vals), kind.k)
+    _assert_rate_bits_match_the_field(kind.system(d), kind.probe(grid, eps), kind.k, kind.j)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("coupled", [True, False])
 @pytest.mark.parametrize("negative_zero", [False, True])
 def test_rate_at_origin_matches_with_every_component_and_a_reaction(d, coupled, negative_zero):
+    # random data in any component j, read in every other component k
     rng = np.random.default_rng(100 * d + 10 * coupled + negative_zero)
     grid, n = RATE_GRIDS[d], 3
     if coupled:
@@ -243,17 +247,22 @@ def test_rate_at_origin_matches_with_every_component_and_a_reaction(d, coupled, 
     else:
         diffusion = np.diag(rng.uniform(0.5, 2.0, n))
         transport = tuple(np.diag(rng.uniform(-1.0, 1.0, n)) for _ in range(d))
+    # every F_k has a term in u_j alone, for every j != k
     reaction = PolynomialReaction((
-        ((0.4, (2, 0, 0)), (-1.1, (1, 0, 1))),
-        ((2.5, (0, 3, 0)), (-0.3, (1, 1, 1))),
-        ((0.7, (0, 0, 1)), (-1.9, (2, 0, 1)), (0.2, (0, 2, 2))),
+        ((0.4, (2, 0, 0)), (-1.1, (1, 0, 1)), (-0.6, (0, 1, 0)), (0.8, (0, 0, 2))),
+        ((2.5, (0, 3, 0)), (-0.3, (1, 1, 1)), (1.2, (2, 0, 0)), (-0.9, (0, 0, 1))),
+        ((0.7, (0, 0, 1)), (-1.9, (2, 0, 1)), (0.2, (0, 2, 2)), (-0.5, (1, 0, 0)),
+         (0.3, (0, 3, 0))),
     ))
     spec = SystemSpec(d, n, diffusion, transport, reaction)
-    vals = rng.standard_normal((n,) + grid.shape)
-    if negative_zero:
-        vals[1] = -0.0  # no nonzero value, but not +0.0 data: still transformed
-    for k in range(n):
-        _assert_rate_bits_match_the_field(spec, Field(grid, vals), k)
+    for j in range(n):
+        vals = rng.standard_normal((1,) + grid.shape)
+        if negative_zero:
+            # signed zeros in the probe, the origin sample among them
+            vals[vals < 0.5] = -0.0
+            vals[(0,) + grid.origin_index] = -0.0
+        for k in set(range(n)) - {j}:
+            _assert_rate_bits_match_the_field(spec, Field(grid, vals), k, j)
 
 
 def test_violation_kind_validation():
@@ -303,10 +312,10 @@ def test_experiment_drops_failing_eps(monkeypatch):
     grid = Grid(1, 256, 4.0)
     original = DiffusionViolation.probe
 
-    def failing(self, g, eps, mol):
+    def failing(self, g, eps):
         if eps < 0.6:
             raise ProbeConstructionError("synthetic failure")
-        return original(self, g, eps, mol)
+        return original(self, g, eps)
 
     monkeypatch.setattr(DiffusionViolation, "probe", failing)
     rep = run_violation_experiment(DiffusionViolation(), (1.0, 0.5), grid)
@@ -364,7 +373,7 @@ def test_experiment_minimum_is_the_full_step_minimum_bit_for_bit(d, kind):
     spec = kind.system(d)
     for eps, rate, minimum in zip(eps_list, rep.initial_rate_at_origin, rep.min_after_t_probe):
         vals = np.zeros((spec.ncomp,) + grid.shape)
-        vals[kind.j] = kind.probe(grid, eps, kind.base_mollifier(d).scaled(eps)).values[0]
+        vals[kind.j] = kind.probe(grid, eps).values[0]
         u0 = Field(grid, vals)
         ts = run(spec, u0, RunConfig(t_end=rep.t_probe, dt=rep.t_probe))
         assert not ts.blown_up
@@ -504,7 +513,7 @@ def test_repaired_systems_have_nonnegative_rate_at_pinned_zeros():
     grid = Grid(1, 256, 4.0)
     for kind in (DiffusionViolation(), TransportViolation(), ReactionViolation()):
         spec = kind.repaired_system(grid.d)
-        probe = kind.probe(grid, 1.0, kind.base_mollifier(grid.d))
+        probe = kind.probe(grid, 1.0)
         vals = np.zeros((spec.ncomp,) + grid.shape)
         vals[kind.j] = probe.values[0]
         rate = initial_rate_field(spec, Field(grid, vals))

@@ -261,6 +261,19 @@ def test_blowup_flagged_with_partial_series():
         assert len(ts.times) == len(ts.diagnostics)
 
 
+@pytest.mark.parametrize("value", [1e308, -1e13])
+@pytest.mark.parametrize("reaction", [LOGISTIC, ZeroReaction()])
+def test_initial_data_past_the_blow_up_threshold_is_rejected_before_any_transform(
+        transform_calls, value, reaction):
+    # transforming 1e308 overflows; no numpy warning may escape before the step loop
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), reaction)
+    vals = np.full((1, 16), 0.5)
+    vals[0, 3] = value
+    with pytest.raises(ConfigError, match="blow-up threshold"):
+        run(spec, Field(BLOWUP_GRID, vals), RunConfig(t_end=0.1, dt=0.1))
+    assert transform_calls == {"rfftn": 0, "irfftn": 0}
+
+
 @pytest.fixture
 def transform_calls(monkeypatch):
     """Counts of the trilap.spectral.rfftn and irfftn calls made during the test.
