@@ -51,7 +51,6 @@ from .spectral import (
     symbol,
 )
 from .stepper import (
-    ReactionOverflowError,
     RunConfig,
     TimeSeries,
     run,
@@ -76,5 +75,5 @@ __all__ = [
     "ModePropagator", "PropagatorOverflowError", "apply_modes", "build_propagator",
     "matrix_exp_batch", "symbol",
     # stepper
-    "ReactionOverflowError", "RunConfig", "TimeSeries", "run", "suggest_dt",
+    "RunConfig", "TimeSeries", "run", "suggest_dt",
 ]

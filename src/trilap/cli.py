@@ -298,7 +298,7 @@ def _cmd_probe(args, argv) -> int:
     if args.r0 is not None or args.r1 is not None:
         if args.r0 is None or args.r1 is None:
             raise ConfigError("--r0 and --r1 must be given together")
-        mol = Mollifier(args.r0, args.r1)
+        mol = Mollifier(args.r0, args.r1).scaled(args.eps)
     try:
         reference = (-float(grid.d) ** 3 / args.eps**6 if args.kind == "diffusion"
                      else -args.sign / args.eps)
@@ -306,6 +306,9 @@ def _cmd_probe(args, argv) -> int:
         reference = math.inf
     _require(math.isfinite(reference) and reference != 0, "--eps",
              "such that the reference is finite and nonzero", args.eps)
+    # co-dilation: --n, --box, --r0 and --r1 name the eps=1 probe, so the probe
+    # at eps is the eps=1 probe sampled at x/eps and keeps its spectral window
+    grid = Grid(grid.d, grid.n, grid.box * args.eps)
 
     if args.kind == "diffusion":
         fld = build_diffusion_probe(grid, args.eps, mol)

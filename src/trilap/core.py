@@ -584,7 +584,7 @@ def load_system(config_text: str) -> SystemSpec:
     )
 
 
-def load_grid(config_text: str, d: int | None = None) -> Grid:
+def load_grid(config_text: str) -> Grid:
     """Build the Grid described by the config's 'grid' block."""
     cfg = parse_config(config_text)
     if "grid" not in cfg:
@@ -592,10 +592,8 @@ def load_grid(config_text: str, d: int | None = None) -> Grid:
     node = cfg["grid"]
     if not isinstance(node, dict):
         raise ConfigError("field 'grid': expected an object with 'n' and 'box'")
-    if d is None:
-        d = _config_number(cfg, "d", "d", integer=True)
     return Grid(
-        d=d,
+        d=_config_number(cfg, "d", "d", integer=True),
         n=_config_number(node, "n", "grid.n", integer=True),
         box=_config_number(node, "box", "grid.box", integer=False),
     )

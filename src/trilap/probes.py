@@ -228,21 +228,21 @@ def build_transport_probe(
     return Field(grid, (psi * formula)[np.newaxis])
 
 
-def _at_origin(u: Field, component: int, multiplier: np.ndarray) -> float:
-    """One component times a half-spectrum multiplier, read at the origin sample."""
+def _at_origin(u: Field, multiplier: np.ndarray) -> float:
+    """A one-component probe times a half-spectrum multiplier, read at the origin sample."""
     grid = u.grid
-    values = irfftn(multiplier * rfftn(u.values[component], grid.d), grid.n, grid.d)
+    values = irfftn(multiplier * rfftn(u.values[0], grid.d), grid.n, grid.d)
     return float(values[grid.origin_index])
 
 
-def lap3_at_origin(u: Field, component: int = 0) -> float:
-    """Triple Laplacian of one component evaluated at the origin sample."""
-    return _at_origin(u, component, -u.grid.half_k_sixth)
+def lap3_at_origin(u: Field) -> float:
+    """Triple Laplacian of a one-component probe evaluated at the origin sample."""
+    return _at_origin(u, -u.grid.half_k_sixth)
 
 
-def axis_derivative_at_origin(u: Field, axis: int, component: int = 0) -> float:
-    """First derivative along one axis at the origin sample, spectrally."""
-    return _at_origin(u, component, 1j * u.grid.half_deriv_mesh[axis])
+def axis_derivative_at_origin(u: Field, axis: int) -> float:
+    """First derivative of a one-component probe along one axis at the origin sample."""
+    return _at_origin(u, 1j * u.grid.half_deriv_mesh[axis])
 
 
 # An experiment's rate at the origin stays on numpy.fft's full complex

@@ -135,6 +135,23 @@ def test_probe_command_transport(tmp_path, capsys):
     assert payload["relative_error"] < 0.01
 
 
+def test_probe_eps_runs_on_the_co_dilated_grid(tmp_path, capsys):
+    # --n and --box name the eps=1 grid; at eps=0.5 the probe is the eps=1
+    # probe sampled at x/0.5, so its triple Laplacian is exactly 2^6 times larger
+    runs = []
+    for eps in ("1", "0.5"):
+        out = tmp_path / eps
+        code, stdout, err = run_cli(
+            ["probe", "--kind", "diffusion", "--d", "2", "--eps", eps, "--out", str(out),
+             "--json"], capsys)
+        assert code == 0, err
+        runs.append((json.loads(stdout), json.loads((out / "manifest.json").read_text())))
+    (one, _), (half, manifest) = runs
+    assert half["lap3_at_origin"] == 64.0 * one["lap3_at_origin"]
+    assert half["relative_error"] < 1e-3
+    assert (manifest["config"]["n"], manifest["config"]["box"]) == (128, 1.1)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_probe_box_alone_keeps_the_default_grid(tmp_path, capsys, d):
     # --box without --n takes the dimension's default n, as counterexample does

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,34 @@ def test_evaluate_reaction_overflow(grid1d):
     ts = run(spec, u, RunConfig(t_end=0.02, dt=0.01))
     assert ts.blown_up and ts.blowup_step == 1
     assert np.array_equal(ts.final_state.values, u.values) and ts.final_t == 0.0
+
+
+def test_reaction_overflow_at_stage_2_is_caught_at_its_step(grid1d):
+    # F(u0) = 1e308 is finite, so stage 1's reaction passes; its transform
+    # overflows, so the stage-2 state and its reaction are not.  The post-step
+    # check reports the step.
+    u = Field(grid1d, np.full((1, 64), 10.0))
+    blowy = PolynomialReaction((((1.0, (308,)),),))
+    assert np.all(np.isfinite(blowy.evaluate(u.values.copy())))
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), blowy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = run(spec, u, RunConfig(t_end=0.02, dt=0.01))
+    assert ts.blown_up and ts.blowup_step == 1
+    assert np.array_equal(ts.times, [0.0]) and ts.final_t == 0.0
+    assert np.array_equal(ts.final_state.values, u.values)
+    assert np.array_equal(ts.diagnostics, stepper._diagnostics_row(u.values, grid1d)[None])
+
+
+def test_state_that_overflows_in_one_step_is_caught_without_a_warning(grid1d):
+    # exactly linear growth by exp(700) ~ 1e304 sends the low modes of a 1e11
+    # bump to inf; transforming that state back is inside the step's errstate
+    u = Field(grid1d, (1e11 * np.exp(-grid1d.axis_coords**2))[None])
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-700.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = run(spec, u, RunConfig(t_end=2.0, dt=1.0))
+    assert ts.blown_up and ts.blowup_step == 1 and ts.final_t == 0.0
 
 
 def test_mass_conserved_without_reaction(rng):
