@@ -161,6 +161,23 @@ class Grid:
         return _readonly((np.arange(self.n) - self.n // 2) * self.spacing)
 
     @cached_property
+    def distinct_radii(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|x| on the grid as (radii, index, fold).
+
+        The sample (i_1, ..., i_d) lies at radius radii[index[fold[i_1], ...,
+        fold[i_d]]].  |x| depends only on the |i_a - n/2|, so it is formed on
+        that folded mesh of (n/2+1)^d samples, summing x_a * x_a in axis order:
+        the same bits as sqrt(sum(x * x for x in coord_mesh)).
+        """
+        half = self.n // 2
+        folded = np.abs(self.axis_coords[half::-1])  # |x| = 0, h, ..., (n/2) h
+        mesh = np.meshgrid(*(folded,) * self.d, indexing="ij", sparse=True)
+        r = np.sqrt(sum(x * x for x in mesh))
+        radii, index = np.unique(r, return_inverse=True)
+        fold = np.abs(np.arange(self.n) - half)
+        return _readonly(radii), _readonly(index.reshape(r.shape)), _readonly(fold)
+
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing))
 

@@ -30,6 +30,10 @@ governed by two measurable scales: the ramp widths in wavenumber units
 with resolution at fixed box, which is why refinement studies widen the
 box and radii together with n).
 
+The ramps' erfc is a numpy port of Cephes erfc, the code scipy.special.erfc
+runs, with its bits; so no probe loads scipy.  A radial ramp runs it once
+per distinct grid radius (`Grid.distinct_radii`) and gathers the values.
+
 Probes are supported inside the periodic box to machine precision;
 experiments certify negativity on the discrete grid, the checkable shadow
 of the almost-everywhere statement on R^d.
@@ -116,11 +120,72 @@ class Mollifier:
         return Mollifier(self.r0 * s, self.r1 * s)
 
 
+# Cephes ndtr.c erfc, the code scipy.special.erfc runs: its coefficients,
+# highest degree first, in its Horner order.  The Q, S and U polynomials are
+# monic, their leading 1 left out as in Cephes.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes polevl, or p1evl for a monic polynomial."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a):
+    """Complementary error function with the bits of scipy.special.erfc.
+
+    Cephes: 1 - erf(a) for |a| < 1, else exp(-a^2) P(|a|)/Q(|a|) (R/S from
+    |a| = 8 on), 2 minus that for a < 0, and exact 0 or 2 once -a^2 is below
+    -MAXLOG.  The exp is libm's, through math.exp: numpy's own exp differs
+    from it in the last bit on some arguments.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.reshape(-1)
+    x = np.abs(flat)
+    out = np.where(flat < 0.0, 2.0, 0.0)  # the underflowed values
+    small = x < 1.0
+    s = flat[small]
+    z = s * s
+    out[small] = 1.0 - s * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+    with np.errstate(over="ignore"):  # -inf past |a| = 1.3e154 underflows like the rest
+        z = -flat * flat
+    live = ~small & ~(z < -_MAXLOG)  # NaN stays live and gives NaN
+    x, z = x[live], z[live]
+    y = np.fromiter(map(math.exp, z.tolist()), float, z.size)
+    mid = x < 8.0
+    p = np.where(mid, _horner(x, _ERFC_P), _horner(x, _ERFC_R))
+    q = np.where(mid, _horner(x, _ERFC_Q, monic=True), _horner(x, _ERFC_S, monic=True))
+    y = y * p / q
+    out[live] = np.where(flat[live] < 0.0, 2.0 - y, y)
+    return out.reshape(a.shape)[()]
+
+
 def gaussian_ramp(r, center: float, sigma: float):
     """Smooth descent 1 -> 0 around center; 0/1 to 1e-13 beyond 5.2*sqrt(2)*sigma."""
-    from scipy.special import erfc  # here, so that importing trilap does not load scipy
+    return 0.5 * _erfc((r - center) / (math.sqrt(2) * sigma))
 
-    return 0.5 * erfc((r - center) / (math.sqrt(2) * sigma))
+
+def _radial_ramp(grid: Grid, center: float, sigma: float) -> np.ndarray:
+    """`gaussian_ramp` of |x| on the grid, evaluated once per distinct radius."""
+    radii, index, fold = grid.distinct_radii
+    return gaussian_ramp(radii, center, sigma)[index][np.ix_(*(fold,) * grid.d)]
 
 
 def diffusion_probe_mollifier(d: int, eps: float = 1.0) -> Mollifier:
@@ -185,16 +250,18 @@ def build_diffusion_probe(grid: Grid, eps: float, mollifier: Mollifier | None = 
             "r0 and the formula's zero sphere"
         )
 
-    axes = grid.coord_mesh
-    r = np.sqrt(sum(x * x for x in axes))
-    arg = sum(axes) / eps
+    arg = sum(grid.coord_mesh) / eps
     np.minimum(arg, 50.0, out=arg)
     formula = np.exp(arg, out=arg)
     np.subtract(2.0, formula, out=formula)
-    chi = gaussian_ramp(r, r_pos, sigma_in)
-    psi = gaussian_ramp(r, rho, sigma_out)
-    values = (chi * formula + (1.0 - chi)) * psi
-    return Field(grid, values[np.newaxis])
+    # (chi * formula + (1 - chi)) * psi, in place: the same bits with two
+    # fewer grid-sized temporaries
+    chi = _radial_ramp(grid, r_pos, sigma_in)
+    formula *= chi
+    np.subtract(1.0, chi, out=chi)
+    formula += chi
+    formula *= _radial_ramp(grid, rho, sigma_out)
+    return Field(grid, formula[np.newaxis])
 
 
 def build_transport_probe(
@@ -219,13 +286,12 @@ def build_transport_probe(
             f"exp(r1/eps) = exp({mol.r1 / eps:.3g}) would overflow; widen eps or shrink r1"
         )
     axes = grid.coord_mesh
-    r = np.sqrt(sum(x * x for x in axes))
     width = (mol.r0 + mol.r1) / 4.0
     transverse = sum(axes[i] ** 2 for i in range(grid.d) if i != axis)
     bump = np.exp(-0.5 * transverse / width**2) if grid.d > 1 else 1.0
     formula = bump * np.exp(np.clip(-sign * axes[axis] / eps, -700.0, 700.0))
-    psi = gaussian_ramp(r, 0.5 * (mol.r0 + mol.r1), (mol.r1 - mol.r0) / (2.0 * RAMP_ANCHOR))
-    return Field(grid, (psi * formula)[np.newaxis])
+    formula *= _radial_ramp(grid, 0.5 * (mol.r0 + mol.r1), (mol.r1 - mol.r0) / (2.0 * RAMP_ANCHOR))
+    return Field(grid, formula[np.newaxis])
 
 
 def _at_origin(u: Field, multiplier: np.ndarray) -> float:
@@ -265,23 +331,32 @@ def initial_rate_field(spec: SystemSpec, u0: Field) -> Field:
     return Field(grid, lin - spec.reaction.evaluate(u0.values))
 
 
-def _rate_at_origin(spec: SystemSpec, m: np.ndarray, probe: Field, k: int, j: int) -> float:
+def _rate_entry(spec: SystemSpec, grid: Grid, k: int, j: int) -> np.ndarray | None:
+    """Entry M[k, j] of the symbol, a copy of its row k's; None when that row is diagonal."""
+    row = _rate_symbol(spec, grid, k)
+    # (1, N, *mesh) is a coupled row, (1, *mesh) a diagonal one
+    return row[0, j].copy() if row.ndim > grid.d + 1 else None
+
+
+def _rate_at_origin(
+    spec: SystemSpec, m_kj: np.ndarray | None, probe: Field, k: int, j: int
+) -> float:
     """Component k of `initial_rate_field` at the origin sample, bit for bit.
 
     The initial data hold `probe` in component j and +0.0 everywhere else.
-    `m` is row k of the symbol, `_rate_symbol(spec, grid, k)`.  The other
-    components' spectra are +0.0, and adding the signed zeros of their
-    products leaves every nonzero entry as it is, so a coupled row's linear
-    part is its entry j times the probe's spectrum; a diagonal row reads
-    component k alone, which is zero, and gives 0.0.  The inverse runs last
-    axis first, as ifftn does, keeping the origin of each transformed axis:
-    the same lines, each transformed alone, give the same bits (README
-    "Numerical notes").
+    `m_kj` is `_rate_entry(spec, grid, k, j)`.  The other components'
+    spectra are +0.0, and adding the signed zeros of their products leaves
+    every nonzero entry as it is, so a coupled row's linear part is its
+    entry j times the probe's spectrum; a diagonal row reads component k
+    alone, which is zero, and gives 0.0.  The inverse runs last axis first,
+    as ifftn does, keeping the origin of each transformed axis: the same
+    lines, each transformed alone, give the same bits (README "Numerical
+    notes").
     """
     grid = probe.grid
     lin = 0.0
-    if m.ndim > grid.d + 1:  # (1, N, *mesh) is a coupled row, (1, *mesh) a diagonal one
-        line = m[0, j] * np.fft.fftn(probe.values[0])
+    if m_kj is not None:
+        line = m_kj * np.fft.fftn(probe.values[0])
         for _ in range(grid.d):
             line = np.fft.ifft(line)[..., grid.n // 2]
         lin = line.real
@@ -465,24 +540,20 @@ def run_violation_experiment(
     spectrum, one propagator for every eps.  Component j follows its own
     diagonal flow and cannot blow up, so the blow-up check reads k only.
     """
-    # the probes' erfc loads scipy; loading it here, before any grid-sized
-    # array is live, keeps the import's heap off the experiment's peak RSS
-    import scipy.special  # noqa: F401
-
     spec = kind.system(grid.d)
     if t_probe is None:
         t_probe = default_t_probe(spec, grid)
     if not (math.isfinite(t_probe) and t_probe > 0):
         raise ConfigError(f"t_probe must be finite and > 0, got {t_probe}")
     k, j = kind.k, kind.j
-    m = _rate_symbol(spec, grid, k)
+    m_kj = _rate_entry(spec, grid, k, j)
     plane = None  # built inside the try, so an overflow drops every eps with its message
 
     kept_eps, rates, mins, dropped = [], [], [], []
     for eps in eps_list:
         try:
             probe = kind.probe(grid, eps)
-            rate_origin = _rate_at_origin(spec, m, probe, k, j)
+            rate_origin = _rate_at_origin(spec, m_kj, probe, k, j)
             if plane is None:
                 prop = build_propagator(spec, grid, t_probe)
                 if prop.decoupled:

@@ -1,5 +1,7 @@
 """Test-only reference solutions, independent of the library's solver path."""
 
+import math
+
 import numpy as np
 
 from trilap import LinearReaction
@@ -241,3 +243,52 @@ def full_spectral_meshes(grid, half):
     m = np.abs(np.fft.fftfreq(n) * n)
     mask = np.logical_and.reduce(meshes(m < n / 3.0)) if half else None
     return k6, deriv, mask
+
+
+
+def erfc_ramp(r, center, sigma):
+    """The probes' erf ramp as first written, through scipy.special.erfc."""
+    from scipy.special import erfc
+
+    return 0.5 * erfc((r - center) / (math.sqrt(2) * sigma))
+
+
+def diffusion_probe_full_mesh(grid, eps, mollifier=None):
+    """`build_diffusion_probe` as first written, its checks left out.
+
+    Both erf ramps run scipy's erfc on |x| = sqrt(sum(x * x)) at every
+    sample, and the factors combine as (chi * formula + (1 - chi)) * psi.
+    """
+    from trilap import Field
+    from trilap.probes import LN2, RAMP_ANCHOR, diffusion_probe_mollifier
+
+    mol = mollifier if mollifier is not None else diffusion_probe_mollifier(grid.d, eps)
+    r_pos = eps * LN2 / math.sqrt(grid.d)
+    sigma_in = (r_pos - mol.r0) / RAMP_ANCHOR
+    rho = 0.5 * (mol.r0 + mol.r1)
+    sigma_out = (mol.r1 - mol.r0) / (2.0 * RAMP_ANCHOR)
+    axes = grid.coord_mesh
+    r = np.sqrt(sum(x * x for x in axes))
+    formula = 2.0 - np.exp(np.minimum(sum(axes) / eps, 50.0))
+    chi = erfc_ramp(r, r_pos, sigma_in)
+    psi = erfc_ramp(r, rho, sigma_out)
+    return Field(grid, ((chi * formula + (1.0 - chi)) * psi)[np.newaxis])
+
+
+def transport_probe_full_mesh(grid, axis, sign, eps, mollifier=None):
+    """`build_transport_probe` as first written, its checks left out.
+
+    The erf ramp runs scipy's erfc on |x| at every sample.
+    """
+    from trilap import Field
+    from trilap.probes import RAMP_ANCHOR, transport_probe_mollifier
+
+    mol = mollifier if mollifier is not None else transport_probe_mollifier(eps)
+    axes = grid.coord_mesh
+    r = np.sqrt(sum(x * x for x in axes))
+    width = (mol.r0 + mol.r1) / 4.0
+    transverse = sum(axes[i] ** 2 for i in range(grid.d) if i != axis)
+    bump = np.exp(-0.5 * transverse / width**2) if grid.d > 1 else 1.0
+    formula = bump * np.exp(np.clip(-sign * axes[axis] / eps, -700.0, 700.0))
+    psi = erfc_ramp(r, 0.5 * (mol.r0 + mol.r1), (mol.r1 - mol.r0) / (2.0 * RAMP_ANCHOR))
+    return Field(grid, (psi * formula)[np.newaxis])

@@ -31,27 +31,44 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-SCIPY_PROBE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-    "trilap.cli.main(['audit', sys.argv[2], '--out', sys.argv[3]]); "
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-    "trilap.cli.main(['simulate', sys.argv[2], '--t-end', '0.1', '--out', sys.argv[3]]); "
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SCIPY_MODULES = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
+    "loaded = lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "loaded(); "
+    "[(trilap.cli.main(argv + ['--json']), loaded()) for argv in json.loads(sys.argv[2])]"
 )
 
 
-def test_import_and_audit_do_not_load_scipy(tmp_path):
-    # scipy (the probes' erfc, ode-check's expm) loads on first use only; simulate
-    # transforms with numpy.fft alone
+def scipy_modules_after(commands, tmp_path):
+    """Scipy modules loaded in a fresh process after `import trilap.cli`, then after each command."""
     src = str(Path(trilap.__file__).resolve().parent.parent)
+    commands = [argv + ["--out", str(tmp_path)] for argv in commands]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, src, str(CONFIGS / "diagonal_logistic.json"),
-         str(tmp_path)],
+        [sys.executable, "-c", SCIPY_MODULES, src, json.dumps(commands)],
         capture_output=True, text=True, check=True,
     )
-    after_import, _, after_audit, _, after_simulate = proc.stdout.splitlines()
-    assert after_import == after_audit == after_simulate == "[]", proc.stdout
+    # each command prints its JSON payload, an object; the module lists are lists
+    return [line for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_import_and_audit_do_not_load_scipy(tmp_path):
+    # scipy (ode-check's expm) loads on first use only; simulate transforms
+    # with numpy.fft alone
+    config = str(CONFIGS / "diagonal_logistic.json")
+    loaded = scipy_modules_after([["audit", config], ["simulate", config, "--t-end", "0.1"]],
+                                 tmp_path)
+    assert loaded == ["[]"] * 3, loaded
+
+
+def test_probe_and_counterexample_do_not_load_scipy(tmp_path):
+    # the probes' erf ramps run a numpy port of the Cephes erfc that scipy runs
+    loaded = scipy_modules_after([
+        ["probe", "--kind", "diffusion", "--d", "1"],
+        ["probe", "--kind", "transport", "--d", "1"],
+        ["counterexample", "--kind", "diffusion", "--d", "1"],
+        ["counterexample", "--kind", "transport", "--d", "1"],
+    ], tmp_path)
+    assert loaded == ["[]"] * 5, loaded
 
 
 def test_audit_pass(tmp_path, capsys):

@@ -26,6 +26,7 @@ from trilap.probes import (
     ReactionViolation,
     TransportViolation,
     _rate_at_origin,
+    _rate_entry,
     _rate_symbol,
     axis_derivative_at_origin,
     fit_power_law,
@@ -37,6 +38,7 @@ from trilap.probes import (
 from trilap.stepper import RunConfig, run
 
 from conftest import pd_diffusion
+from oracles import diffusion_probe_full_mesh, erfc_ramp, transport_probe_full_mesh
 
 LN2 = math.log(2.0)
 
@@ -154,6 +156,80 @@ def test_transport_probe_transverse_bump_independent_of_axis():
     assert np.abs(line / np.exp(-x) - 1.0).max() < 1e-10
 
 
+# the erf ramps: the Cephes erfc port against scipy.special.erfc, bit for bit
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+ERFC_CUTOFF = math.sqrt(probes._MAXLOG)  # past |a| ~ 26.64, erfc is exactly 0 (or 2)
+ERFC_RANGES = {"below 1": (0.0, 1.0), "1 to 8": (1.0, 8.0), "8 to the cutoff": (8.0, ERFC_CUTOFF),
+               "past the cutoff": (ERFC_CUTOFF, 40.0)}
+
+
+@pytest.mark.parametrize("part", [*ERFC_RANGES, "edges", "underflow"])
+def test_erfc_port_has_the_bits_of_scipy(part):
+    from scipy.special import erfc
+
+    if part == "edges":  # neighbours of the branch boundaries |a| = 1 and 8
+        a = np.concatenate([e + np.arange(-3, 4) * np.spacing(e) for e in (1.0, 8.0)])
+    elif part == "underflow":  # consecutive doubles: subnormal results, then exact zeros
+        a = ERFC_CUTOFF + np.arange(-40, 41) * np.spacing(ERFC_CUTOFF)
+    else:
+        a = np.random.default_rng(26).uniform(*ERFC_RANGES[part], 20_000)
+    a = np.concatenate([a, -a])  # 2 - y on the negative side
+    ref = erfc(a)
+    assert _bits(probes._erfc(a)) == _bits(ref)
+    if part == "underflow":
+        assert (ref == 0.0).any() and (ref > 0.0).any() and (ref == 2.0).any()
+
+
+def test_erfc_port_at_signed_zeros_infinities_and_nan():
+    from scipy.special import erfc
+
+    a = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 8.0, -8.0, 30.0, -30.0, 1e200, -1e200,
+                  np.inf, -np.inf])
+    assert _bits(probes._erfc(a)) == _bits(erfc(a))
+    assert np.isnan(probes._erfc(np.array([np.nan, 0.5, np.nan]))[[0, 2]]).all()
+    assert np.isnan(probes._erfc(np.nan))
+
+
+@pytest.mark.parametrize("r", [0.3, -2.0, np.float64(1.7), np.array(2.5), np.array(-0.0),
+                               np.linspace(-1.0, 3.0, 17), np.linspace(0.0, 4.0, 12).reshape(3, 4)])
+def test_gaussian_ramp_keeps_scipy_types_and_bits(r):
+    ours, ref = probes.gaussian_ramp(r, 1.1, 0.2), erfc_ramp(r, 1.1, 0.2)
+    assert type(ours) is type(ref)
+    assert np.shape(ours) == np.shape(ref) and _bits(ours) == _bits(ref)
+
+
+# grids: probe_grid's defaults and the benchmark sweep's two, each co-dilated to eps
+PROBE_BIT_GRIDS = [probe_grid(1), probe_grid(2), probe_grid(3), Grid(2, 256, 4.4), Grid(3, 64, 2.2)]
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("grid", PROBE_BIT_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}-box{g.box}")
+def test_probes_keep_the_bits_of_the_builders_as_first_written(monkeypatch, grid, eps):
+    # the builders once ran scipy's erfc on |x| at every sample and combined
+    # their factors out of place; one erfc per distinct radius, gathered, and
+    # in-place products must give the same probes bit for bit
+    grid = Grid(grid.d, grid.n, grid.box * eps)
+    builds = {"diffusion": lambda: probes.build_diffusion_probe(grid, eps)}
+    for axis in range(grid.d):
+        builds[f"transport axis {axis}"] = (
+            lambda axis=axis: probes.build_transport_probe(grid, axis, (-1) ** axis, eps))
+    for kind in (DiffusionViolation(), TransportViolation(axis=grid.d - 1, gamma=-1.0),
+                 ReactionViolation()):
+        builds[f"{kind.label} kind"] = lambda kind=kind: kind.probe(grid, eps)
+    for name, build in builds.items():
+        ours = build().values
+        with monkeypatch.context() as m:
+            m.setattr(probes, "build_diffusion_probe", diffusion_probe_full_mesh)
+            m.setattr(probes, "build_transport_probe", transport_probe_full_mesh)
+            old = build().values
+        assert np.array_equal(ours.view(np.int64), old.view(np.int64)), name
+
+
 def test_initial_rate_zero_data(scalar_heat_spec):
     g = Grid(d=1, n=32, box=8.0)
     rate = initial_rate_field(scalar_heat_spec, Field(g, np.zeros((1, 32))))
@@ -197,9 +273,8 @@ def _assert_rate_bits_match_the_field(spec, probe, k, j):
     grid = probe.grid
     vals = np.zeros((spec.ncomp,) + grid.shape)
     vals[j] = probe.values[0]
-    m = _rate_symbol(spec, grid, k)
     field = initial_rate_field(spec, Field(grid, vals)).values[(k,) + grid.origin_index]
-    fast = _rate_at_origin(spec, m, probe, k, j)
+    fast = _rate_at_origin(spec, _rate_entry(spec, grid, k, j), probe, k, j)
     assert np.float64(fast).tobytes() == np.float64(field).tobytes(), (fast, field)
 
 
