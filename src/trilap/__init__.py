@@ -9,24 +9,19 @@ from .core import (
     DimensionMismatchError,
     Field,
     Grid,
-    LinearReaction,
     PolynomialReaction,
     PositivityError,
     SystemSpec,
     Violation,
     ZeroReaction,
-    inner_product,
     load_grid,
     load_system,
-    min_component_value,
-    serialize_system,
 )
 from .criterion import (
     SignSampler,
     audit,
     check_assumption_offdiag_nonneg,
     check_diagonality,
-    check_essentially_nonpositive,
     check_reaction_boundary_sign,
 )
 from .probes import (
@@ -38,7 +33,6 @@ from .probes import (
     ViolationReport,
     build_diffusion_probe,
     build_transport_probe,
-    initial_rate_field,
     ode_reduction_check,
     run_violation_experiment,
 )
@@ -60,17 +54,15 @@ from .stepper import (
 __all__ = [
     # core
     "AuditReport", "ConfigError", "DimensionMismatchError", "Field", "Grid",
-    "LinearReaction", "PolynomialReaction", "PositivityError", "SystemSpec",
-    "Violation", "ZeroReaction", "inner_product", "load_grid", "load_system",
-    "min_component_value", "serialize_system",
+    "PolynomialReaction", "PositivityError", "SystemSpec", "Violation", "ZeroReaction",
+    "load_grid", "load_system",
     # criterion
     "SignSampler", "audit", "check_assumption_offdiag_nonneg", "check_diagonality",
-    "check_essentially_nonpositive", "check_reaction_boundary_sign",
+    "check_reaction_boundary_sign",
     # probes
     "DiffusionViolation", "Mollifier", "ProbeConstructionError", "ReactionViolation",
     "TransportViolation", "ViolationReport", "build_diffusion_probe",
-    "build_transport_probe", "initial_rate_field", "ode_reduction_check",
-    "run_violation_experiment",
+    "build_transport_probe", "ode_reduction_check", "run_violation_experiment",
     # spectral
     "ModePropagator", "PropagatorOverflowError", "apply_modes", "build_propagator",
     "matrix_exp_batch", "symbol",

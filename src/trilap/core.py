@@ -1,4 +1,4 @@
-"""Domain types, configuration ingestion, validation and diagnostic functionals.
+"""Domain types, configuration ingestion and validation.
 
 The systems handled throughout the package have the form
 
@@ -7,11 +7,7 @@ The systems handled throughout the package have the form
 with u an N-component real field, D ("diffusion") and T[1..d] ("transport")
 constant N x N matrices and F a pointwise interaction term.  D + D^T must be
 positive definite.  R^d is truncated to a periodic box; decaying data is
-expected to live well inside it.
-
-All fields are real valued.  The vector inner product is the component sum of
-the L^2 pairings, discretised by the trapezoidal (here: plain Riemann, the
-grid is periodic) rule with weight spacing^d.
+expected to live well inside it.  All fields are real valued.
 
 Conventions:
   * component and matrix indices are 0-based throughout the Python API,
@@ -28,7 +24,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,19 +35,14 @@ __all__ = [
     "Field",
     "Reaction",
     "ZeroReaction",
-    "LinearReaction",
     "PolynomialReaction",
     "SystemSpec",
     "Violation",
     "AuditReport",
-    "ComponentMin",
     "as_square_matrix",
-    "inner_product",
-    "min_component_value",
     "parse_config",
     "load_system",
     "load_grid",
-    "serialize_system",
 ]
 
 
@@ -277,9 +267,6 @@ class Reaction:
     def validate(self, ncomp: int) -> None:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZeroReaction(Reaction):
@@ -292,35 +279,13 @@ class ZeroReaction(Reaction):
     def validate(self, ncomp):
         pass
 
-    def to_config(self):
-        return {"kind": "zero"}
-
-
-@dataclass(frozen=True, eq=False)
-class LinearReaction(Reaction):
-    """F(u) = M u for a constant square matrix M."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_square_matrix(self.matrix, name="reaction.L"))
-
-    def evaluate(self, values):
-        return np.einsum("kj,j...->k...", self.matrix, values)
-
-    def linear_matrix(self, ncomp):
-        return self.matrix
-
-    def validate(self, ncomp):
-        as_square_matrix(self.matrix, side=ncomp, name="reaction.L")
-
-    def to_config(self):
-        return {"kind": "linear", "L": self.matrix.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class PolynomialReaction(Reaction):
-    """Per-component sums of monomials coeff * prod_l u_l**e_l."""
+    """Per-component sums of monomials coeff * prod_l u_l**e_l.
+
+    F = L u is the polynomial of degree-1 terms (`from_matrix`).
+    """
 
     terms: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
 
@@ -332,6 +297,22 @@ class PolynomialReaction(Reaction):
             for k, comp in enumerate(self.terms)
         )
         object.__setattr__(self, "terms", norm)
+
+    @classmethod
+    def from_matrix(cls, matrix) -> PolynomialReaction:
+        """F = L u: component k gets one term L[k, j] * u_j per nonzero entry, in column order.
+
+        An entry of 0.0 or -0.0 has no term, so `linear_matrix` holds +0.0 there.
+        """
+        rows = np.asarray(matrix, dtype=float).tolist()
+        return cls(tuple(
+            tuple(
+                (c, tuple(int(l == j) for l in range(len(row))))
+                for j, c in enumerate(row)
+                if c != 0.0
+            )
+            for row in rows
+        ))
 
     def evaluate(self, values):
         out = np.zeros_like(values)
@@ -378,14 +359,6 @@ class PolynomialReaction(Reaction):
                         f"polynomial reaction: component {k} has an exponent vector of "
                         f"length {len(expo)}, expected {ncomp}"
                     )
-
-    def to_config(self):
-        return {
-            "kind": "polynomial",
-            "terms": [
-                [{"coeff": c, "exponents": list(e)} for c, e in comp] for comp in self.terms
-            ],
-        }
 
 
 # above this, u**e is inf for every |u| >= 2 and below the normal range for every |u| <= 1/2
@@ -483,36 +456,6 @@ class AuditReport:
         }
 
 
-class ComponentMin(NamedTuple):
-    value: float
-    index: int                       # flat C-order index, smallest on ties
-    multi_index: tuple[int, ...]
-
-
-def inner_product(f: Field, g: Field) -> float:
-    """Component-summed L^2 pairing, sum_k sum_x f_k g_k * spacing^d.
-
-    The reduction order is fixed (numpy pairwise summation over C-order),
-    so repeated evaluations are bit-identical.
-    """
-    if f.grid != g.grid:
-        raise DimensionMismatchError("inner_product: fields live on different grids")
-    if f.ncomp != g.ncomp:
-        raise DimensionMismatchError(
-            f"inner_product: component counts differ ({f.ncomp} vs {g.ncomp})"
-        )
-    return float(np.sum(f.values * g.values) * f.grid.spacing**f.grid.d)
-
-
-def min_component_value(u: Field, k: int) -> ComponentMin:
-    """Minimum sample of component k with one argmin (smallest flat index on ties)."""
-    if not 0 <= k < u.ncomp:
-        raise IndexError(f"component index {k} out of range for ncomp={u.ncomp}")
-    comp = u.values[k]
-    flat = int(np.argmin(comp))
-    return ComponentMin(float(comp.flat[flat]), flat, np.unravel_index(flat, comp.shape))
-
-
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
@@ -528,7 +471,7 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _reaction_from_config(node) -> Reaction:
+def _reaction_from_config(node, ncomp: int) -> Reaction:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("field 'reaction': expected an object with a 'kind'")
     kind = node["kind"]
@@ -537,7 +480,8 @@ def _reaction_from_config(node) -> Reaction:
     if kind == "linear":
         if "L" not in node:
             raise ConfigError("field 'reaction.L': required for kind 'linear'")
-        return LinearReaction(node["L"])
+        matrix = as_square_matrix(node["L"], side=ncomp, name="reaction.L")
+        return PolynomialReaction.from_matrix(matrix)
     if kind == "polynomial":
         if "terms" not in node:
             raise ConfigError("field 'reaction.terms': required for kind 'polynomial'")
@@ -597,7 +541,7 @@ def load_system(config_text: str) -> SystemSpec:
         ncomp=ncomp,
         diffusion=cfg["A"],
         transport=tuple(gammas),
-        reaction=_reaction_from_config(cfg["reaction"]),
+        reaction=_reaction_from_config(cfg["reaction"], ncomp),
     )
 
 
@@ -615,16 +559,3 @@ def load_grid(config_text: str) -> Grid:
         box=_config_number(node, "box", "grid.box", integer=False),
     )
 
-
-def serialize_system(spec: SystemSpec, grid: Grid | None = None) -> str:
-    """Config text whose load_system round-trips the numeric content."""
-    cfg = {
-        "d": spec.d,
-        "N": spec.ncomp,
-        "A": spec.diffusion.tolist(),
-        "Gamma": [g.tolist() for g in spec.transport],
-        "reaction": spec.reaction.to_config(),
-    }
-    if grid is not None:
-        cfg["grid"] = {"n": grid.n, "box": grid.box}
-    return json.dumps(cfg, indent=2)

@@ -11,7 +11,8 @@ the face {s_k = 0, s >= 0}: a reported violation is a concrete certificate,
 a clean pass is sampled evidence only (the quantifier ranges over an
 unbounded set).  For linear reactions F(u) = L u the face restriction is
 linear, so sampling with unit coordinate vectors decides the condition
-exactly and agrees with the essential-nonpositivity read of L.
+exactly: it flags the positive off-diagonal entries of L.  The tests hold
+that essential-nonpositivity read of L as their oracle (tests/oracles.py).
 
 The hypothesis that off-diagonal diffusion entries are nonnegative is a
 premise of the criterion, not a conclusion; its failures are reported as
@@ -33,7 +34,6 @@ __all__ = [
     "check_assumption_offdiag_nonneg",
     "check_diagonality",
     "check_reaction_boundary_sign",
-    "check_essentially_nonpositive",
     "audit",
 ]
 
@@ -46,7 +46,6 @@ RULE_DIAG_GAMMA = "diag-Gamma"
 RULE_REACTION = "reaction-sign"
 RULE_REACTION_INDETERMINATE = "reaction-indeterminate"
 RULE_ASSUMPTION = "assumption-akl"
-RULE_ESSENTIAL = "essential-nonpositivity"
 
 
 @dataclass(frozen=True)
@@ -135,11 +134,6 @@ def check_reaction_boundary_sign(
             else:
                 out.append(Violation(RULE_REACTION_INDETERMINATE, site, float("nan")))
     return out
-
-
-def check_essentially_nonpositive(matrix) -> list[Violation]:
-    """Every strictly positive off-diagonal entry of a linear-reaction matrix."""
-    return _offdiag(matrix, "L", RULE_ESSENTIAL, lambda v: v > 0.0)
 
 
 def audit(spec: SystemSpec, sampler: SignSampler | None = None, tol: float = 0.0) -> AuditReport:

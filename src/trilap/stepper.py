@@ -1,7 +1,8 @@
 """Time integration of the sixth-order reaction-diffusion-transport system.
 
-Exactly linear reactions F = L u (Reaction.linear_matrix: zero, linear, and
-polynomials of degree-1 terms only) are advanced exactly: one step is the
+Exactly linear reactions F = L u (Reaction.linear_matrix: zero, and
+polynomials of degree-1 terms only, the config's "linear" spelling among
+them) are advanced exactly: one step is the
 per-mode exponential of the full symbol with L folded in, so the only error
 is roundoff.  Others use integrating-factor RK4 on v = exp(-t*M) u_hat
 (Kassam & Trefethen, SIAM J. Sci. Comput. 26(4), 2005).  It needs only the

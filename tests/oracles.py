@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from trilap import LinearReaction
+from trilap import Field, SystemSpec, spectral
+from trilap.criterion import _offdiag
 
 
 def mode_exponential_step(spec, grid, values, dt):
@@ -24,8 +25,9 @@ def mode_exponential_step(spec, grid, values, dt):
     symbol = -k6.reshape(-1, 1, 1) * np.asarray(spec.diffusion)[None].astype(complex)
     for dm, g in zip(dmesh, spec.transport):
         symbol = symbol + 1j * dm.reshape(-1, 1, 1) * np.asarray(g)[None]
-    if isinstance(spec.reaction, LinearReaction):
-        symbol = symbol - np.asarray(spec.reaction.matrix)[None]
+    lin = spec.reaction.linear_matrix(ncomp)
+    if lin is not None:
+        symbol = symbol - np.asarray(lin)[None]
     w, v = np.linalg.eig(dt * symbol)
     expd = v @ (np.exp(w)[..., None] * np.linalg.inv(v))
     axes = tuple(range(1, d + 1))
@@ -292,3 +294,30 @@ def transport_probe_full_mesh(grid, axis, sign, eps, mollifier=None):
     formula = bump * np.exp(np.clip(-sign * axes[axis] / eps, -700.0, 700.0))
     psi = erfc_ramp(r, 0.5 * (mol.r0 + mol.r1), (mol.r1 - mol.r0) / (2.0 * RAMP_ANCHOR))
     return Field(grid, (psi * formula)[np.newaxis])
+
+
+def initial_rate_field(spec, u0):
+    """Right-hand side at t = 0 on the full complex layout: D lap^3 u0 + sum_i T[i] d_i u0 - F(u0).
+
+    The rate a violation experiment keeps (`probes._rate_at_origin`) is this
+    field's component k at the origin sample, bit for bit.
+    """
+    grid = u0.grid
+    axes = tuple(range(1, grid.d + 1))
+    m = spectral.symbol(spec, grid.k_sixth, grid.deriv_mesh)
+    lin = np.fft.ifftn(spectral.apply_modes(m, np.fft.fftn(u0.values, axes=axes)), axes=axes).real
+    return Field(grid, lin - spec.reaction.evaluate(u0.values))
+
+
+def repaired_system(kind, d):
+    """A violation kind's system without its coupling: identity D, zero T and reaction."""
+    n = kind.ncomp
+    return SystemSpec(d, n, np.eye(n), tuple(np.zeros((n, n)) for _ in range(d)))
+
+
+RULE_ESSENTIAL = "essential-nonpositivity"
+
+
+def check_essentially_nonpositive(matrix):
+    """Every strictly positive off-diagonal entry of L: paper condition 3 for F = L u."""
+    return _offdiag(matrix, "L", RULE_ESSENTIAL, lambda v: v > 0.0)

@@ -11,18 +11,15 @@ import numpy as np
 from trilap import (
     Field,
     Grid,
-    LinearReaction,
     PolynomialReaction,
     SystemSpec,
     ZeroReaction,
     audit,
     build_diffusion_probe,
-    initial_rate_field,
-    min_component_value,
     run,
     run_violation_experiment,
 )
-from trilap.criterion import RULE_REACTION, SignSampler, check_essentially_nonpositive, check_reaction_boundary_sign
+from trilap.criterion import RULE_REACTION, SignSampler, check_reaction_boundary_sign
 from trilap.probes import (
     DiffusionViolation,
     Mollifier,
@@ -34,7 +31,13 @@ from trilap.probes import (
 from trilap.stepper import RunConfig
 
 from conftest import pd_diffusion, zero_transport
-from oracles import mode_exponential_step, scalar_decay_solution
+from oracles import (
+    check_essentially_nonpositive,
+    initial_rate_field,
+    mode_exponential_step,
+    repaired_system,
+    scalar_decay_solution,
+)
 
 
 def _report(num, ok, detail):
@@ -102,7 +105,7 @@ def test_criterion_4_negativity_certificates():
         worst = min(rep.min_after_t_probe)
         certified = rep.min_after_t_probe[-1] < -1e-8 and rep.negativity_observed
         # control: repaired system's rate at every zero of the pinned component
-        spec = kind.repaired_system(grid.d)
+        spec = repaired_system(kind, grid.d)
         probe = kind.probe(grid, eps[-1])
         vals = np.zeros((spec.ncomp,) + grid.shape)
         vals[kind.j] = probe.values[0]
@@ -123,8 +126,9 @@ def test_criterion_5_linear_oracle_equivalence():
         grid = Grid(d, n, 16.0)
         diffusion = pd_diffusion(rng, ncomp)
         gammas = tuple(rng.uniform(-1, 1, (ncomp, ncomp)) for _ in range(d))
-        linear = trial % 2 == 0
-        reaction = LinearReaction(rng.uniform(-1, 1, (ncomp, ncomp))) if linear else ZeroReaction()
+        reaction = ZeroReaction()
+        if trial % 2 == 0:
+            reaction = PolynomialReaction.from_matrix(rng.uniform(-1, 1, (ncomp, ncomp)))
         spec = SystemSpec(d, ncomp, diffusion, gammas, reaction)
         u0 = Field(grid, rng.standard_normal((ncomp,) + grid.shape))
         dt = 2e-6
@@ -139,10 +143,10 @@ def test_criterion_6_maximum_principle_failure():
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1))
     x = grid.axis_coords
     u0 = Field(grid, np.exp(-0.5 * (x / 0.8) ** 2)[None])
-    assert min_component_value(u0, 0).value >= 0.0
+    assert u0.values[0].min() >= 0.0
     t_end = 0.1
     ts = run(spec, u0, RunConfig(t_end=t_end, dt=t_end / 8, output_stride=1))
-    minimum = min_component_value(ts.final_state, 0).value
+    minimum = ts.final_state.values[0].min()
     oracle = scalar_decay_solution(grid, u0.values[0], t_end)
     agreement = float(np.abs(ts.final_state.values[0] - oracle).max())
     ok = minimum < 0.0 and agreement < 1e-10
@@ -156,7 +160,7 @@ def _random_diagonal_system(rng):
     gammas = tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d))
     L = rng.uniform(-1.0, 0.0, (ncomp, ncomp))
     np.fill_diagonal(L, rng.uniform(-1.0, 1.0, ncomp))
-    return SystemSpec(d, ncomp, diffusion, gammas, LinearReaction(L))
+    return SystemSpec(d, ncomp, diffusion, gammas, PolynomialReaction.from_matrix(L))
 
 
 def test_criterion_7_audit_property_suite():
@@ -179,9 +183,10 @@ def test_criterion_7_audit_property_suite():
             report = audit(corrupted, sampler)
             hit = {"matrix": "A", "row": k, "col": j} in [v.site for v in report.violations]
         elif choice == 1:
-            L = spec.reaction.matrix.copy()
+            L = spec.reaction.linear_matrix(ncomp).copy()
             L[k, j] = float(rng.uniform(0.1, 1.0))
-            corrupted = SystemSpec(spec.d, ncomp, spec.diffusion, spec.transport, LinearReaction(L))
+            corrupted = SystemSpec(spec.d, ncomp, spec.diffusion, spec.transport,
+                                   PolynomialReaction.from_matrix(L))
             report = audit(corrupted, sampler)
             hit = any(
                 v.rule == RULE_REACTION and v.site["component"] == k
@@ -202,8 +207,9 @@ def test_criterion_7_audit_property_suite():
         ncomp = int(rng.integers(1, 5))
         L = rng.uniform(-1.0, 1.0, (ncomp, ncomp))
         exact = bool(check_essentially_nonpositive(L))
+        reaction = PolynomialReaction.from_matrix(L)
         sampled = any(v.rule == RULE_REACTION
-                      for v in check_reaction_boundary_sign(LinearReaction(L), ncomp, eq_sampler))
+                      for v in check_reaction_boundary_sign(reaction, ncomp, eq_sampler))
         agree += exact == sampled
     ok = passed == 200 and located == 200 and agree == 1000
     _report(7, ok, f"{passed}/200 clean pass, {located}/200 corruptions located, "
@@ -215,7 +221,8 @@ def test_criterion_8_ode_reduction_and_conservation():
         (((1.0, (2, 0)), (-1.0, (1, 0))), ((1.0, (0, 2)), (-1.0, (0, 1)))))
     dev_logistic = ode_reduction_check(logistic, np.array([0.7, 0.3]), 1.0, 1 / 128).max_deviation
     L = np.array([[0.6, -0.4], [-0.2, 0.9]])
-    dev_linear = ode_reduction_check(LinearReaction(L), np.array([1.0, 0.5]), 1.0, 1 / 128).max_deviation
+    dev_linear = ode_reduction_check(PolynomialReaction.from_matrix(L), np.array([1.0, 0.5]),
+                                     1.0, 1 / 128).max_deviation
 
     rng = np.random.default_rng(515)
     worst_drift, energy_ok = 0.0, True

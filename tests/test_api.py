@@ -1,9 +1,10 @@
-"""The public API resolves: every exported name exists, and the package
-exports exactly what its __init__ imports."""
+"""The public API resolves: every exported name exists, the package
+exports exactly what its __init__ imports, and the README documents it."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,11 @@ def test_package_exports_exactly_what_init_imports():
     }
     assert len(trilap.__all__) == len(set(trilap.__all__))
     assert set(trilap.__all__) == imported
+
+
+def test_readme_library_layout_names_every_export():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    # each name as inline code: `name` or `name(...)`
+    missing = [n for n in trilap.__all__ if not re.search(rf"`{n}[`(]", layout)]
+    assert not missing, f"README 'Library layout' does not name: {missing}"

@@ -250,6 +250,21 @@ def test_counterexample_names_each_dropped_eps_on_stderr(tmp_path, capsys):
     assert "NOT OBSERVED" in stdout
 
 
+def test_counterexample_with_a_coupling_past_double_range_drops_every_eps(tmp_path, capsys):
+    # gamma * xi overflows the symbol entry, so the rate at the origin is not finite:
+    # each eps is dropped with that reason, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(["counterexample", "--kind", "transport", "--gamma", "1e308",
+                                     "--out", str(tmp_path), "--json"], capsys)
+    assert code == 2, err
+    report = json.loads(stdout)
+    assert report["eps"] == [] and report["negativity_observed"] is False
+    assert [drop["eps"] for drop in report["dropped"]] == [1.0, 0.5, 0.25]
+    assert err.splitlines() == [f"dropped eps {eps}: initial rate at the origin is nan"
+                                for eps in ("1", "0.5", "0.25")]
+
+
 def _grid_config(tmp_path, box):
     cfg = json.loads((CONFIGS / "coupled_transport.json").read_text())
     cfg["grid"]["box"] = box
@@ -589,6 +604,39 @@ def test_ode_check_exactly_linear_reaction_passes_with_default_flags(tmp_path, c
                                 capsys)
     assert code == 0, err
     assert json.loads(stdout)["max_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("L", [[[-5.0, 0.0], [0.0, -5.0]], [[-1.0, 0.5], [-0.25, 2.0]],
+                               [[0.3, -0.7], [1.1, -0.4]]])
+def test_linear_and_degree_one_polynomial_spellings_give_the_same_outputs(tmp_path, capsys, L):
+    # "linear" is a spelling of the polynomial with one degree-1 term per nonzero entry of L
+    polynomial = {"kind": "polynomial", "terms": [
+        [{"coeff": c, "exponents": [int(l == j) for l in range(len(row))]}
+         for j, c in enumerate(row) if c]
+        for row in L]}
+    base = json.loads((CONFIGS / "diagonal_logistic.json").read_text())
+    path = tmp_path / "system.json"
+    outputs = []
+    for reaction in ({"kind": "linear", "L": L}, polynomial):
+        path.write_text(json.dumps(base | {"reaction": reaction}))
+        runs = {}
+        for command, flags in (("simulate", ["--t-end", "0.05"]), ("ode-check", ["--t-end", "0.25"]),
+                               ("audit", [])):
+            out = tmp_path / command
+            code, stdout, err = run_cli([command, str(path), *flags, "--out", str(out)], capsys)
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+            runs[command] = (code, stdout, err, files)
+        outputs.append(runs)
+    linear, poly = outputs
+    assert len(linear["simulate"][3]) == 3 and linear["ode-check"][3]
+    assert linear["simulate"] == poly["simulate"]
+    assert linear["ode-check"] == poly["ode-check"]
+    # the audit's witness values may differ by rounding, its verdicts and sites may not
+    reports = [json.loads(runs["audit"][3]["audit_report.json"]) for runs in outputs]
+    located = [(r["overall"], r["reaction_ok"], [(v["rule"], v["site"]) for v in r["violations"]],
+                [(w["rule"], w["site"]) for w in r["warnings"]]) for r in reports]
+    assert located[0] == located[1]
+    assert linear["audit"][0] == poly["audit"][0]
 
 
 FRESH_MAIN = (

@@ -9,16 +9,12 @@ from trilap import (
     DimensionMismatchError,
     Field,
     Grid,
-    LinearReaction,
     PolynomialReaction,
     PositivityError,
     SystemSpec,
     ZeroReaction,
-    inner_product,
     load_grid,
     load_system,
-    min_component_value,
-    serialize_system,
 )
 
 from conftest import pd_diffusion, zero_transport
@@ -182,116 +178,11 @@ def test_spectral_meshes_broadcast_to_the_full_meshgrid_arrays(d, n):
             assert np.array_equal(g.half_dealias_mask, mask)
 
 
-def test_serialize_roundtrip_identity():
-    reaction = PolynomialReaction((((2.5, (2, 0)), (-1.0, (1, 1))), ((0.5, (0, 3)),)))
-    spec = SystemSpec(2, 2, [[1.0, 0.25], [-0.25, 2.0]],
-                      ([[0.1, 0], [0, -0.2]], [[0, 0], [0, 0.7]]), reaction)
-    grid = Grid(d=2, n=16, box=12.5)
-    text = serialize_system(spec, grid)
-    spec2 = load_system(text)
-    grid2 = load_grid(text)
-    assert np.array_equal(spec2.diffusion, spec.diffusion)
-    for a, b in zip(spec2.transport, spec.transport):
-        assert np.array_equal(a, b)
-    assert spec2.reaction.terms == reaction.terms
-    assert (grid2.n, grid2.box, grid2.d) == (grid.n, grid.box, grid.d)
-
-
-def test_linear_roundtrip_identity():
-    spec = SystemSpec(1, 2, [[1.0, 0.0], [0.0, 1.0]], zero_transport(1, 2),
-                      LinearReaction([[0.5, -1.0], [0.0, 2.0]]))
-    spec2 = load_system(serialize_system(spec))
-    assert np.array_equal(spec2.reaction.matrix, spec.reaction.matrix)
-
-
 def test_validated_spec_has_positive_symmetrized_spectrum(rng):
     for _ in range(20):
         n = int(rng.integers(1, 5))
         spec = SystemSpec(1, n, pd_diffusion(rng, n), zero_transport(1, n))
         assert spec.symmetrized_min_eigenvalue > 0.0
-
-
-# ---------------------------------------------------------------------------
-# inner product
-
-
-def test_inner_product_constant_is_box_volume():
-    g = Grid(d=1, n=16, box=2 * np.pi)
-    one = Field(g, np.ones((1, 16)))
-    assert inner_product(one, one) == pytest.approx(2 * np.pi, rel=1e-14)
-
-
-def test_inner_product_disjoint_components_orthogonal(rng):
-    g = Grid(d=1, n=32, box=8.0)
-    f = np.zeros((2, 32))
-    f[1] = rng.standard_normal(32)
-    gvals = np.zeros((2, 32))
-    gvals[0] = rng.standard_normal(32)
-    assert inner_product(Field(g, f), Field(g, gvals)) == 0.0
-
-
-def test_inner_product_harmonics_orthogonal():
-    g = Grid(d=1, n=16, box=8.0)
-    x = g.axis_coords
-    f = Field(g, np.sin(2 * np.pi * x / 8.0)[None])
-    h = Field(g, np.cos(2 * np.pi * x / 8.0)[None])
-    assert abs(inner_product(f, h)) < 1e-12
-
-
-def test_inner_product_symmetric_bilinear_positive(rng):
-    g = Grid(d=2, n=8, box=4.0)
-    for _ in range(10):
-        a = Field(g, rng.standard_normal((2, 8, 8)))
-        b = Field(g, rng.standard_normal((2, 8, 8)))
-        c = Field(g, rng.standard_normal((2, 8, 8)))
-        lam = float(rng.uniform(-2, 2))
-        assert inner_product(a, b) == pytest.approx(inner_product(b, a), rel=1e-12, abs=1e-12)
-        lhs = inner_product(Field(g, lam * a.values + b.values), c)
-        rhs = lam * inner_product(a, c) + inner_product(b, c)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-        assert inner_product(a, a) > 0.0
-    zero = Field(g, np.zeros((2, 8, 8)))
-    assert inner_product(zero, zero) == 0.0
-
-
-def test_inner_product_mismatch_errors():
-    g1 = Grid(d=1, n=16, box=8.0)
-    g2 = Grid(d=1, n=32, box=8.0)
-    f1 = Field(g1, np.ones((1, 16)))
-    with pytest.raises(DimensionMismatchError):
-        inner_product(f1, Field(g2, np.ones((1, 32))))
-    with pytest.raises(DimensionMismatchError):
-        inner_product(f1, Field(g1, np.ones((2, 16))))
-
-
-# ---------------------------------------------------------------------------
-# minima
-
-
-def test_min_of_zero_component_is_zero(grid1d):
-    u = Field(grid1d, np.zeros((1, 64)))
-    assert min_component_value(u, 0).value == 0.0
-
-
-def test_min_of_nonnegative_bump_is_nonnegative(grid1d):
-    x = grid1d.axis_coords
-    u = Field(grid1d, np.exp(-0.5 * x**2)[None])
-    assert min_component_value(u, 0).value >= 0.0
-
-
-def test_min_tie_takes_smallest_flat_index():
-    g = Grid(d=1, n=8, box=8.0)
-    vals = np.array([[5.0, 1.0, 3.0, 1.0, 4.0, 9.0, 1.0, 2.0]])
-    res = min_component_value(Field(g, vals), 0)
-    assert res.value == 1.0 and res.index == 1 and res.multi_index == (1,)
-
-
-def test_min_component_index_range(grid1d):
-    u = Field(grid1d, np.zeros((2, 64)))
-    with pytest.raises(IndexError):
-        min_component_value(u, 2)
-    with pytest.raises(IndexError):
-        min_component_value(u, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +225,7 @@ def test_coord_mesh_is_broadcastable_axes(d):
 def test_reaction_evaluations():
     zero = ZeroReaction()
     assert np.array_equal(zero.evaluate(np.ones((2, 4))), np.zeros((2, 4)))
-    lin = LinearReaction([[2.0, -1.0], [-1.0, 2.0]])
+    lin = PolynomialReaction.from_matrix([[2.0, -1.0], [-1.0, 2.0]])
     out = lin.evaluate(np.ones((2, 4)))
     assert np.allclose(out, 1.0)
     logistic = PolynomialReaction((((1.0, (2,)), (-1.0, (1,))),))
@@ -345,18 +236,45 @@ def test_reaction_evaluations():
 def test_linear_matrix_decides_exact_linearity():
     assert np.array_equal(ZeroReaction().linear_matrix(2), np.zeros((2, 2)))
     L = [[0.5, -1.0], [0.0, 2.0]]
-    assert np.array_equal(LinearReaction(L).linear_matrix(2), L)
+    assert np.array_equal(PolynomialReaction.from_matrix(L).linear_matrix(2), L)
     # equal exponents merge by adding their coefficients
     merged = PolynomialReaction((((1.5, (0, 1)), (2.0, (1, 0)), (-0.5, (0, 1))), ()))
     assert np.array_equal(merged.linear_matrix(2), [[2.0, 1.0], [0.0, 0.0]])
     empty = PolynomialReaction(((), ()))
     assert np.array_equal(empty.linear_matrix(2), np.zeros((2, 2)))
-    for reaction in (ZeroReaction(), LinearReaction(L), merged, empty):
+    for reaction in (ZeroReaction(), PolynomialReaction.from_matrix(L), merged, empty):
         assert not reaction.linear_matrix(2).flags.writeable
     # any term of degree 0 or >= 2 rules linearity out, whatever its coefficient
     for term in ((1.0, (0, 0)), (0.0, (0, 0)), (1.0, (1, 1)), (1.0, (0, 2)), (0.0, (2, 0))):
         mixed = PolynomialReaction((((1.0, (1, 0)),), ((-1.0, (0, 1)), term)))
         assert mixed.linear_matrix(2) is None, term
+
+
+def test_from_matrix_gives_back_the_matrix_byte_for_byte(rng):
+    # one degree-1 term per nonzero entry, in column order
+    for n in range(1, 7):
+        L = rng.uniform(-1.0, 1.0, (n, n))
+        L[rng.random((n, n)) < 0.3] = 0.0
+        reaction = PolynomialReaction.from_matrix(L)
+        assert [[expo.index(1) for _, expo in comp] for comp in reaction.terms] == [
+            list(np.flatnonzero(row)) for row in L]
+        assert reaction.linear_matrix(n).tobytes() == L.tobytes()
+    # -0.0 has no term, so its entry reads +0.0
+    signed = PolynomialReaction.from_matrix([[1.0, -0.0], [0.0, -2.0]])
+    assert signed.terms == (((1.0, (1, 0)),), ((-2.0, (0, 1)),))
+    assert signed.linear_matrix(2).tobytes() == np.array([[1.0, 0.0], [0.0, -2.0]]).tobytes()
+
+
+def test_polynomial_evaluate_has_the_same_bits_on_transposed_input(rng):
+    # the audit evaluates its face samples, stored (P, N), as the transposed view (N, P)
+    mixed = PolynomialReaction((((0.3, (2, 1, 0)), (-1.0, (1, 0, 0))), ((1.7, (0, 3, 1)),),
+                                ((-0.4, (1, 1, 1)), (1.0, (0, 0, 2)), (2.5, (0, 0, 0)))))
+    linear = [PolynomialReaction.from_matrix(rng.uniform(-1.0, 1.0, (n, n))) for n in range(2, 7)]
+    for reaction in [*linear, mixed]:
+        view = rng.uniform(0.0, 10.0, (257, len(reaction.terms))).T
+        assert not view.flags.c_contiguous
+        got = reaction.evaluate(view)
+        assert got.tobytes() == reaction.evaluate(np.ascontiguousarray(view)).tobytes()
 
 
 def test_linear_matrix_of_a_degree_one_polynomial_reproduces_its_evaluation():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from trilap import (
-    LinearReaction,
     PolynomialReaction,
     SystemSpec,
     ZeroReaction,
     audit,
     check_assumption_offdiag_nonneg,
     check_diagonality,
-    check_essentially_nonpositive,
     check_reaction_boundary_sign,
     load_system,
 )
@@ -23,6 +21,7 @@ from trilap.criterion import (
 
 from conftest import zero_transport
 from oracles import (
+    check_essentially_nonpositive,
     face_points_loop,
     reaction_boundary_sign_flagged_loop,
     reaction_boundary_sign_per_sample,
@@ -39,7 +38,7 @@ def make_diagonal_system(rng, d=None, ncomp=None, linear=True):
     if linear:
         off = rng.uniform(-1.0, 0.0, (ncomp, ncomp))
         np.fill_diagonal(off, rng.uniform(-1.0, 1.0, ncomp))
-        reaction = LinearReaction(off)
+        reaction = PolynomialReaction.from_matrix(off)
     else:
         reaction = ZeroReaction()
     return SystemSpec(d, ncomp, diff, gammas, reaction)
@@ -70,9 +69,9 @@ def test_boundary_sign_zero_reaction_clean():
 
 
 def test_boundary_sign_linear_examples():
-    ok = LinearReaction([[1.0, -1.0], [-1.0, 1.0]])
+    ok = PolynomialReaction.from_matrix([[1.0, -1.0], [-1.0, 1.0]])
     assert check_reaction_boundary_sign(ok, 2) == []
-    bad = LinearReaction([[1.0, 1.0], [0.0, 1.0]])
+    bad = PolynomialReaction.from_matrix([[1.0, 1.0], [0.0, 1.0]])
     found = check_reaction_boundary_sign(bad, 2)
     assert found and all(v.rule == RULE_REACTION for v in found)
     assert any(v.site["component"] == 0 for v in found)
@@ -102,7 +101,8 @@ def test_linear_boundary_sign_agrees_with_essential_nonpositivity(rng):
         n = int(rng.integers(1, 5))
         L = rng.uniform(-1.0, 1.0, (n, n))
         exact = bool(check_essentially_nonpositive(L))
-        sampled = bool(check_reaction_boundary_sign(LinearReaction(L), n, sampler))
+        reaction = PolynomialReaction.from_matrix(L)
+        sampled = bool(check_reaction_boundary_sign(reaction, n, sampler))
         assert exact == sampled
 
 
@@ -165,9 +165,10 @@ def test_audit_random_diagonal_systems_pass_and_corruptions_fail(rng):
             corrupted = SystemSpec(spec.d, n, diff, spec.transport, spec.reaction)
             want = {"matrix": "A", "row": int(k), "col": int(j)}
         elif target == 1:
-            L = spec.reaction.matrix.copy()
+            L = spec.reaction.linear_matrix(n).copy()
             L[k, j] = rng.uniform(0.1, 1.0)
-            corrupted = SystemSpec(spec.d, n, spec.diffusion, spec.transport, LinearReaction(L))
+            corrupted = SystemSpec(spec.d, n, spec.diffusion, spec.transport,
+                                   PolynomialReaction.from_matrix(L))
             want = None  # located through the reaction sampler instead
         else:
             i = int(target - 2)

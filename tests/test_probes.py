@@ -8,7 +8,6 @@ from trilap import (
     ConfigError,
     Field,
     Grid,
-    LinearReaction,
     Mollifier,
     PolynomialReaction,
     ProbeConstructionError,
@@ -16,7 +15,6 @@ from trilap import (
     ZeroReaction,
     build_diffusion_probe,
     build_transport_probe,
-    initial_rate_field,
     run_violation_experiment,
     symbol,
 )
@@ -27,7 +25,6 @@ from trilap.probes import (
     TransportViolation,
     _rate_at_origin,
     _rate_entry,
-    _rate_symbol,
     axis_derivative_at_origin,
     fit_power_law,
     lap3_at_origin,
@@ -38,7 +35,13 @@ from trilap.probes import (
 from trilap.stepper import RunConfig, run
 
 from conftest import pd_diffusion
-from oracles import diffusion_probe_full_mesh, erfc_ramp, transport_probe_full_mesh
+from oracles import (
+    diffusion_probe_full_mesh,
+    erfc_ramp,
+    initial_rate_field,
+    repaired_system,
+    transport_probe_full_mesh,
+)
 
 LN2 = math.log(2.0)
 
@@ -293,7 +296,7 @@ def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
     spec = SystemSpec(d, n, diffusion, transport)
     full = symbol(spec, grid.k_sixth, grid.deriv_mesh)
     for k in range(n):
-        row = _rate_symbol(spec, grid, k)
+        row = symbol(spec, grid.k_sixth, grid.deriv_mesh, row=k)
         if coupled:
             assert row.shape == (1, n) + grid.shape
             assert row.tobytes() == full[k].tobytes()
@@ -459,7 +462,7 @@ def test_experiment_minimum_is_the_full_step_minimum_bit_for_bit(d, kind):
 
 
 def test_experiment_rejects_a_decoupled_system(monkeypatch):
-    monkeypatch.setattr(ReactionViolation, "system", ReactionViolation.repaired_system)
+    monkeypatch.setattr(ReactionViolation, "system", repaired_system)
     with pytest.raises(ValueError, match="decoupled"):
         run_violation_experiment(ReactionViolation(), (1.0,), Grid(1, 256, 4.0))
 
@@ -546,7 +549,8 @@ def test_ode_reduction_zero_reaction():
 
 def test_ode_reduction_essentially_nonpositive_linear_stays_nonnegative(rng):
     L = np.array([[1.0, -0.4], [-0.3, 0.8]])
-    cmp = ode_reduction_check(LinearReaction(L), np.array([1.0, 0.5]), 1.0, 1 / 128)
+    reaction = PolynomialReaction.from_matrix(L)
+    cmp = ode_reduction_check(reaction, np.array([1.0, 0.5]), 1.0, 1 / 128)
     assert cmp.max_deviation <= 1e-8
     assert np.all(cmp.ode_values >= 0.0)
     assert cmp.pde_first_negative is None and cmp.ode_first_negative is None
@@ -561,7 +565,7 @@ def test_ode_reduction_violating_reaction_goes_negative_in_both():
 
 
 @pytest.mark.parametrize("reaction", [
-    LinearReaction([[-5.0, 0.0], [0.0, -5.0]]),
+    PolynomialReaction.from_matrix([[-5.0, 0.0], [0.0, -5.0]]),
     PolynomialReaction((((-5.0, (1, 0)),), ((-5.0, (0, 1)),))),
 ])
 def test_ode_reduction_of_an_exactly_linear_reaction_has_an_exact_reference(reaction):
@@ -587,7 +591,7 @@ def test_rk4_ode_truncates_on_blowup():
 def test_repaired_systems_have_nonnegative_rate_at_pinned_zeros():
     grid = Grid(1, 256, 4.0)
     for kind in (DiffusionViolation(), TransportViolation(), ReactionViolation()):
-        spec = kind.repaired_system(grid.d)
+        spec = repaired_system(kind, grid.d)
         probe = kind.probe(grid, 1.0)
         vals = np.zeros((spec.ncomp,) + grid.shape)
         vals[kind.j] = probe.values[0]

@@ -6,14 +6,12 @@ from trilap import (
     DimensionMismatchError,
     Field,
     Grid,
-    LinearReaction,
     PolynomialReaction,
     PropagatorOverflowError,
     SystemSpec,
     ZeroReaction,
     apply_modes,
     build_propagator,
-    inner_product,
     matrix_exp_batch,
     symbol,
 )
@@ -463,7 +461,7 @@ def test_mode_bound_is_at_least_the_gershgorin_bound_of_every_assembled_mode(d, 
         gammas[0] = np.zeros((ncomp, ncomp))  # an axis without transport
     lin = rng.uniform(-3.0, 3.0, (ncomp, ncomp))
     for folded in ((), (lin,)):
-        reaction = LinearReaction(lin) if folded else ZeroReaction()
+        reaction = PolynomialReaction.from_matrix(lin) if folded else ZeroReaction()
         spec = SystemSpec(d, ncomp, pd_diffusion(rng, ncomp), tuple(gammas), reaction)
         for dt in (1e-5, 3e-2, 10.0):
             bound = spectral._gershgorin_bounds(spec, g, dt, folded)
@@ -499,14 +497,15 @@ def test_non_finite_matrices_are_never_skipped():
     coupled = np.array([[1.0, 0.5], [0.0, 1.0]])
     overflowing = [
         SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
-                   LinearReaction([[1e308, 0.5], [0.0, 1.0]])),
+                   PolynomialReaction.from_matrix([[1e308, 0.5], [0.0, 1.0]])),
         SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
-                   LinearReaction([[1.0, -1e308], [0.0, 1.0]])),
+                   PolynomialReaction.from_matrix([[1.0, -1e308], [0.0, 1.0]])),
         SystemSpec(1, 2, np.eye(2), (np.array([[0.0, 1e308], [0.0, 0.0]]),)),
         SystemSpec(1, 2, np.eye(2), (np.array([[0.0, 1e308], [1e308, 0.0]]),)),
         SystemSpec(1, 2, [[1e308, 0.5], [0.0, 1.0]], zero_transport(1, 2)),
         SystemSpec(1, 2, [[1.0, 1e308], [-1e308, 1.0]], zero_transport(1, 2)),
-        SystemSpec(1, 2, coupled, zero_transport(1, 2), LinearReaction([[1.0, 1e308], [0.0, 1.0]])),
+        SystemSpec(1, 2, coupled, zero_transport(1, 2),
+                   PolynomialReaction.from_matrix([[1.0, 1e308], [0.0, 1.0]])),
     ]
     for spec in overflowing:
         for dt in (10.0, 1e4):
@@ -584,7 +583,8 @@ def test_decoupled_propagator_matches_matrix_exp(rng, d, n, fold):
     gammas = tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d))
     lin = np.diag(rng.uniform(-1.0, 1.0, ncomp))
     # a linear reaction is folded into the propagator, a zero one is not
-    spec = SystemSpec(d, ncomp, diff, gammas, LinearReaction(lin) if fold else ZeroReaction())
+    reaction = PolynomialReaction.from_matrix(lin) if fold else ZeroReaction()
+    spec = SystemSpec(d, ncomp, diff, gammas, reaction)
     dt = 2e-3
     prop = build_propagator(spec, g, dt)
     assert prop.decoupled
@@ -602,7 +602,7 @@ def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
     g = Grid(d=2, n=16, box=8.0)
     lin = np.array([[1.0, 0.5], [0.0, 1.0]])
     spec = SystemSpec(2, 2, np.diag([1.0, 2.0]), (np.diag([0.5, -0.5]), np.eye(2)),
-                      LinearReaction(lin))
+                      PolynomialReaction.from_matrix(lin))
     twin = SystemSpec(2, 2, spec.diffusion, spec.transport, ZeroReaction())
     assert build_propagator(twin, g, 0.01).decoupled
     folded = build_propagator(spec, g, 0.01)
@@ -628,7 +628,7 @@ def _coupled_case(rng, case):
     elif case == "T2both":
         gammas[0][0, 1], gammas[1][1, 0] = 0.6, -0.4
     elif case == "L2":
-        reaction = LinearReaction(np.array([[0.3, 0.5], [0.0, -0.2]]))
+        reaction = PolynomialReaction.from_matrix(np.array([[0.3, 0.5], [0.0, -0.2]]))
     else:
         diff, gammas[1] = pd_diffusion(rng, ncomp), rng.uniform(-1.0, 1.0, (ncomp, ncomp))
     return SystemSpec(d, ncomp, diff, tuple(gammas), reaction), g
@@ -639,7 +639,8 @@ def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
     # the table is exactly the per-mode exponential of every half-spectrum symbol
     spec, g = _coupled_case(rng, case)
     dt = 3e-3
-    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
+    lin = spec.reaction.linear_matrix(spec.ncomp)
+    folded = () if isinstance(spec.reaction, ZeroReaction) else (lin,)
     want = matrix_exp_batch(dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded))
     exps = build_propagator(spec, g, dt).exps
     assert exps.shape == (spec.ncomp,) * 2 + g.half_shape
@@ -652,7 +653,8 @@ def test_coupled_build_exponentiates_every_mode_in_one_batch(monkeypatch, rng, c
     # or more; every other mode of the table is +0.0
     spec, g = _coupled_case(rng, case)
     dt = 3e-3
-    folded = (spec.reaction.matrix,) if isinstance(spec.reaction, LinearReaction) else ()
+    lin = spec.reaction.linear_matrix(spec.ncomp)
+    folded = () if isinstance(spec.reaction, ZeroReaction) else (lin,)
     stacks, solved = _spy_pade(monkeypatch)
     exps = build_propagator(spec, g, dt).exps
     monkeypatch.undo()
@@ -685,7 +687,7 @@ def test_propagator_spectral_radius_bound(rng):
 
 def test_propagator_folds_linear_reaction():
     g = Grid(d=1, n=16, box=8.0)
-    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[2.0]]))
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), PolynomialReaction.from_matrix([[2.0]]))
     twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), ZeroReaction())
     dt = 0.1
     plain = build_propagator(twin, g, dt)
@@ -706,12 +708,12 @@ def test_propagator_leaves_polynomial_reaction_out():
 
 def test_propagator_overflow_detected():
     g = Grid(d=1, n=16, box=8.0)
-    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), LinearReaction([[-800.0]]))
+    spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), PolynomialReaction.from_matrix([[-800.0]]))
     with pytest.raises(PropagatorOverflowError):
         build_propagator(spec, g, 1.0)
     # the coupled table is checked the same way
     spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
-                      LinearReaction([[-800.0, 1.0], [0.0, -800.0]]))
+                      PolynomialReaction.from_matrix([[-800.0, 1.0], [0.0, -800.0]]))
     with pytest.raises(PropagatorOverflowError):
         build_propagator(spec, g, 1.0)
 
@@ -727,6 +729,6 @@ def test_parseval(rng):
     g = Grid(d=2, n=16, box=8.0)
     u = Field(g, rng.standard_normal((2, 16, 16)))
     c = _fft(u)
-    quad = inner_product(u, u)
+    quad = np.sum(u.values**2) * g.spacing**g.d
     spectral = (np.abs(c) ** 2).sum() * g.spacing**g.d / g.size
     assert quad == pytest.approx(spectral, rel=1e-10)
