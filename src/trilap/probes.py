@@ -55,7 +55,14 @@ from .core import (
     SystemSpec,
     ZeroReaction,
 )
-from .spectral import PropagatorOverflowError, build_propagator, irfftn, rfftn, symbol
+from .spectral import (
+    PropagatorOverflowError,
+    _decoupled,
+    build_propagator,
+    irfftn,
+    rfftn,
+    symbol,
+)
 from .stepper import RunConfig, _too_large, run
 
 __all__ = [
@@ -316,10 +323,10 @@ def axis_derivative_at_origin(u: Field, axis: int) -> float:
 
 
 def _rate_entry(spec: SystemSpec, grid: Grid, k: int, j: int) -> np.ndarray | None:
-    """Entry M[k, j] of the full-layout symbol, a copy of its row k's; None for a diagonal row."""
-    row = symbol(spec, grid.k_sixth, grid.deriv_mesh, row=k)
-    # (1, N, *mesh) is a coupled row, (1, *mesh) a diagonal one
-    return row[0, j].copy() if row.ndim > grid.d + 1 else None
+    """Entry M[k, j] of the full-layout symbol, formed alone; None for a decoupled system."""
+    if _decoupled(spec, ()):
+        return None
+    return symbol(spec, grid.k_sixth, grid.deriv_mesh, row=k, col=j)[0, 0]
 
 
 def _rate_at_origin(
@@ -343,7 +350,8 @@ def _rate_at_origin(
     grid = probe.grid
     lin = 0.0
     if m_kj is not None:
-        line = m_kj * np.fft.fftn(probe.values[0])
+        line = np.fft.fftn(probe.values[0])
+        line *= m_kj  # in place: the product's bits, without a second spectrum
         for _ in range(grid.d):
             line = np.fft.ifft(line)[..., grid.n // 2]
         lin = line.real
@@ -550,12 +558,14 @@ def run_violation_experiment(
                     raise ValueError(f"{kind.label} system is decoupled: component k cannot move")
                 plane, prop = prop.exps[k, j].copy(), None  # the step reads P[k, j] alone
             vals = irfftn(plane * rfftn(probe.values[0], grid.d), grid.n, grid.d)
-            if _too_large(vals):
+            low = None if _too_large(vals) else float(vals.min())
+            del vals  # freed before the next eps's probe is built
+            if low is None:
                 dropped.append((float(eps), "blow-up at step 1"))
                 continue
             kept_eps.append(float(eps))
             rates.append(rate_origin)
-            mins.append(float(vals.min()))
+            mins.append(low)
         except (PropagatorOverflowError, ProbeConstructionError) as err:
             dropped.append((float(eps), str(err)))
     return ViolationReport(

@@ -94,25 +94,29 @@ def _decoupled(spec: SystemSpec, folded) -> bool:
     return all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
 
 
-def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=None) -> np.ndarray:
+def symbol(spec: SystemSpec, k_sixth: np.ndarray, deriv_mesh, folded=(), row=None,
+           col=None) -> np.ndarray:
     """M(xi) minus every matrix in `folded`, on the modes of the given meshes.
 
     Returns the diagonal, shape (N, *mesh), when D, every T[j] and the
     folded matrices are diagonal; otherwise one N x N matrix per mode,
     stored component-major, shape (N, N, *mesh).  Given a `row` index, only
     that row of every matrix is formed, shape (1, *mesh) or (1, N, *mesh),
-    with the same bits as the full symbol's row.  The mesh of an axis whose
-    T[j] is zero is never read, in either form.
+    and given a `col` as well (coupled form only), only that entry, shape
+    (1, 1, *mesh); each has the same bits as the full symbol's.  The mesh
+    of an axis whose T[j] is zero is never read, in either form.
     """
     if len(deriv_mesh) != spec.d:
         raise DimensionMismatchError(f"{len(deriv_mesh)} derivative meshes for a d={spec.d} system")
     rows = slice(None) if row is None else slice(row, row + 1)
+    cols = slice(None) if col is None else slice(col, col + 1)
     moving = [(xi, g) for xi, g in zip(deriv_mesh, spec.transport) if np.any(g)]
     deriv_mesh = [xi for xi, _ in moving]
     mats = (spec.diffusion, *(g for _, g in moving), *folded)
     decoupled = _decoupled(spec, folded)
     # the matrix axes lead and broadcast against the meshes, which keep their shape
-    mats = [(np.diag(m) if decoupled else m)[rows][(...,) + (None,) * k_sixth.ndim] for m in mats]
+    mats = [(np.diag(m)[rows] if decoupled else m[rows, cols])[(...,) + (None,) * k_sixth.ndim]
+            for m in mats]
     out = -k_sixth * mats[0].astype(complex)
     for xi, g in zip(deriv_mesh, mats[1 : len(moving) + 1]):
         out += (1j * xi) * g

@@ -39,17 +39,40 @@ checked after its step.  That one check also catches a reaction that
 overflows in any RK4 stage, at the same step: a non-finite reaction value
 makes every sample of the step's state non-finite.  Initial data past 1e12
 are a ConfigError.
+
+A decoupled system (D and every T[a] diagonal, F_k reading u_k alone) is N
+independent scalar problems.  From grid.size * n_steps >=
+SPLIT_MIN_MODE_STEPS on, with more than one CPU in the affinity mask,
+`fork` at hand (Linux) and no other thread running, `run` steps its
+components in min(N, CPUs) contiguous chunks: chunk 0 in this process, each
+other in a forked child that sends its TimeSeries back over a pipe.  The
+bits are the serial run's, because every transform, table entry, reaction
+term and diagnostic of component k reads component k alone; a chunk whose
+own terms are linear still takes IF-RK4 when the whole system does.  If any
+chunk blows up, the whole system is rerun in this process, so the blow-up
+step, times and last state are the serial run's.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionMismatchError, Field, Grid, SystemSpec
-from .spectral import build_propagator, irfftn, rfftn
+from .core import (
+    ConfigError,
+    DimensionMismatchError,
+    Field,
+    Grid,
+    PolynomialReaction,
+    Reaction,
+    SystemSpec,
+    ZeroReaction,
+)
+from .spectral import _decoupled, build_propagator, irfftn, rfftn
 
 __all__ = [
     "RunConfig",
@@ -71,6 +94,11 @@ EXP_RANGE_BUDGET = 700.0
 MAX_STEPS = 1_000_000
 
 CSV_HEADER = "t,component,min,argmin_index,mass,l2norm"
+
+# a decoupled run is split across processes from this many grid.size * n_steps
+# on: below it, forking and the child's start cost about what the second core
+# saves (BENCH_29.json, break_even)
+SPLIT_MIN_MODE_STEPS = 3 * 2**18
 
 
 @dataclass(frozen=True)
@@ -175,7 +203,9 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
     """Advance u from 0 to t_end, recording diagnostics every output stride.
 
     The state is checked for blow-up after every step, so blowup_step does
-    not depend on the output stride.
+    not depend on the output stride.  A decoupled system may be stepped in
+    chunks of components on several processes (`_chunks`), with the bits of
+    the run in one process.
     """
     grid = u0.grid
     if grid.d != spec.d:
@@ -188,6 +218,26 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         raise ConfigError(
             f"initial data must lie within +-{BLOWUP_THRESHOLD:g}, the blow-up threshold"
         )
+    chunks = _chunks(spec, grid, rc)
+    if chunks is None:
+        return _integrate(spec, u0, rc)
+    parts = _run_chunks(chunks, u0, rc)
+    if any(ts.blown_up for ts in parts):
+        # the whole state blows up at the first step any chunk does; the
+        # serial run gives its series up to there and its last recorded state
+        return _integrate(spec, u0, rc)
+    return TimeSeries(
+        grid=grid,
+        times=parts[0].times,
+        diagnostics=np.concatenate([ts.diagnostics for ts in parts], axis=1),
+        final_state=Field(grid, np.concatenate([ts.final_state.values for ts in parts])),
+        final_t=parts[0].final_t,
+    )
+
+
+def _integrate(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
+    """The step loop of `run`, on initial data it has checked."""
+    grid = u0.grid
     dt = rc.dt
 
     def to_values(c: np.ndarray) -> np.ndarray:
@@ -256,3 +306,110 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         blown_up=blown,
         blowup_step=blow_step,
     )
+
+
+def _workers() -> int:
+    """CPUs this process may run on: the one place the worker count is decided."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@dataclass(frozen=True, eq=False)
+class _SteppedReaction(Reaction):
+    """A chunk's share of a reaction that is not linear as a whole.
+
+    It is stepped by IF-RK4 like the whole system, also where the chunk's
+    own terms are all of degree 1: linear_matrix stays None.
+    """
+
+    reaction: Reaction
+
+    def evaluate(self, values):
+        return self.reaction.evaluate(values)
+
+    def validate(self, ncomp):
+        self.reaction.validate(ncomp)
+
+
+def _chunks(spec: SystemSpec, grid: Grid, rc: RunConfig) -> list[tuple[slice, SystemSpec]] | None:
+    """The system as independent subsystems of contiguous components, one per worker.
+
+    None, to run it whole, unless it is decoupled (D and every T[a]
+    diagonal, F a ZeroReaction or a PolynomialReaction whose F_k reads u_k
+    alone), more than one CPU and `fork` are at hand, no other thread runs
+    (a forked child would inherit its locks), and grid.size * n_steps
+    reaches SPLIT_MIN_MODE_STEPS.  Each subsystem keeps its diagonal blocks
+    and its components' terms, restricted to its components.
+    """
+    parts = min(spec.ncomp, _workers())
+    react = spec.reaction
+    if (parts < 2 or grid.size * rc.n_steps < SPLIT_MIN_MODE_STEPS or not hasattr(os, "fork")
+            or threading.active_count() > 1 or not _decoupled(spec, ())):
+        return None
+    if type(react) is PolynomialReaction:
+        if any(e and l != k for k, comp in enumerate(react.terms)
+               for _, expo in comp for l, e in enumerate(expo)):
+            return None
+    elif type(react) is not ZeroReaction:
+        return None
+    linear = react.linear_matrix(spec.ncomp) is not None
+    bounds = [spec.ncomp * i // parts for i in range(parts + 1)]
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        s = slice(lo, hi)
+        sub = react if type(react) is ZeroReaction else PolynomialReaction(
+            tuple(tuple((c, e[s]) for c, e in comp) for comp in react.terms[s]))
+        chunks.append((s, SystemSpec(spec.d, hi - lo, spec.diffusion[s, s],
+                                     tuple(t[s, s] for t in spec.transport),
+                                     sub if linear else _SteppedReaction(sub))))
+    return chunks
+
+
+def _step_chunk(conn, spec: SystemSpec, u0: Field, rc: RunConfig) -> None:
+    """A forked child's work: step one chunk and send (True, series) or (False, error)."""
+    try:
+        result = (True, _integrate(spec, u0, rc))
+    except Exception as err:  # noqa: BLE001 - re-raised by the parent with its type
+        result = (False, err)
+    conn.send(result)
+
+
+def _run_chunks(chunks, u0: Field, rc: RunConfig) -> list[TimeSeries]:
+    """Step chunk 0 here and each other chunk in a forked child; the series in chunk order.
+
+    Process.start flushes sys.stdout and sys.stderr before it forks, so no
+    child writes the parent's buffered output again.  Every child is joined
+    before this returns or raises; on an error the others are terminated.
+    """
+    import multiprocessing  # here alone: its import would add to every short run's start-up
+
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for s, sub in chunks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_step_chunk, args=(send, sub, Field(u0.grid, u0.values[s]), rc),
+                               daemon=True)
+            proc.start()
+            procs.append((proc, recv))
+            send.close()
+        s, sub = chunks[0]
+        parts = [_integrate(sub, Field(u0.grid, u0.values[s]), rc)]
+        for proc, recv in procs:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a chunk's process ended with exit code {proc.exitcode}, "
+                                   "without its result") from None
+            if not ok:
+                raise value
+            parts.append(value)
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            proc.join()
+            recv.close()
+    return parts

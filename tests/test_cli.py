@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import signal
 import subprocess
@@ -31,20 +32,20 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-SCIPY_MODULES = (
+SRC = str(Path(trilap.__file__).resolve().parent.parent)
+LOADED_MODULES = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
-    "loaded = lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "loaded = lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[3])); "
     "loaded(); "
     "[(trilap.cli.main(argv + ['--json']), loaded()) for argv in json.loads(sys.argv[2])]"
 )
 
 
-def scipy_modules_after(commands, tmp_path):
-    """Scipy modules loaded in a fresh process after `import trilap.cli`, then after each command."""
-    src = str(Path(trilap.__file__).resolve().parent.parent)
+def modules_after(package, commands, tmp_path):
+    """Modules of `package` loaded in a fresh process after `import trilap.cli`, then after each command."""
     commands = [argv + ["--out", str(tmp_path)] for argv in commands]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_MODULES, src, json.dumps(commands)],
+        [sys.executable, "-c", LOADED_MODULES, SRC, json.dumps(commands), package],
         capture_output=True, text=True, check=True,
     )
     # each command prints its JSON payload, an object; the module lists are lists
@@ -55,14 +56,75 @@ def test_import_and_audit_do_not_load_scipy(tmp_path):
     # scipy (ode-check's expm) loads on first use only; simulate transforms
     # with numpy.fft alone
     config = str(CONFIGS / "diagonal_logistic.json")
-    loaded = scipy_modules_after([["audit", config], ["simulate", config, "--t-end", "0.1"]],
-                                 tmp_path)
+    loaded = modules_after("scipy", [["audit", config], ["simulate", config, "--t-end", "0.1"]],
+                           tmp_path)
     assert loaded == ["[]"] * 3, loaded
+
+
+def test_import_audit_and_a_short_simulate_do_not_load_multiprocessing(tmp_path):
+    # a run splits across processes only past the break-even, and imports
+    # multiprocessing only then
+    config = str(CONFIGS / "diagonal_logistic.json")
+    loaded = modules_after("multiprocessing",
+                           [["audit", config], ["simulate", config, "--t-end", "0.1"]], tmp_path)
+    assert loaded == ["[]"] * 3, loaded
+
+
+# a fresh process with two workers whatever the machine, a line of its own on
+# buffered stdout, then `trilap simulate` past the break-even
+SPLIT_SIMULATE = (
+    "import json, os, sys; sys.path.insert(0, sys.argv[1]); import trilap.cli; "
+    "from trilap import stepper; stepper._workers = lambda: 2; "
+    "real_fork = os.fork; forks = []; "
+    "os.fork = lambda: forks.append(1) or real_fork(); "
+    "print('before the run'); "
+    "code = trilap.cli.main(json.loads(sys.argv[2])); "
+    "print(len(forks), file=sys.stderr); sys.exit(code)"
+)
+
+
+def test_simulate_split_across_processes_prints_its_lines_once(tmp_path):
+    cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text())
+    cfg.update(d=2, Gamma=cfg["Gamma"] * 2, grid={"n": 128, "box": 32.0})
+    config = tmp_path / "dl2.json"
+    config.write_text(json.dumps(cfg))
+    from trilap.stepper import SPLIT_MIN_MODE_STEPS
+
+    steps = -(-SPLIT_MIN_MODE_STEPS // 128**2)
+    argv = ["simulate", str(config), "--t-end", repr(steps * 1e-4), "--dt", "1e-4",
+            "--out", str(tmp_path / "out"), "--json"]
+    # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", SPLIT_SIMULATE, SRC, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["1"]  # the run forked once
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == "before the run", lines
+    assert json.loads(lines[1])["final_t"] == pytest.approx(steps * 1e-4)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_propagator_overflow_in_a_chunk_exits_4(tmp_path, capsys, monkeypatch, component):
+    import multiprocessing
+
+    from trilap import stepper
+
+    monkeypatch.setattr(stepper, "_workers", lambda: 2)
+    monkeypatch.setattr(stepper, "SPLIT_MIN_MODE_STEPS", 0)
+    cfg = json.loads((CONFIGS / "diagonal_logistic.json").read_text())
+    cfg["Gamma"][0][component][component] = 1e308
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["simulate", str(config), "--t-end", "20", "--dt", "10",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 4 and "non-finite propagator entries" in err, err
+    assert multiprocessing.active_children() == []
 
 
 def test_probe_and_counterexample_do_not_load_scipy(tmp_path):
     # the probes' erf ramps run a numpy port of the Cephes erfc that scipy runs
-    loaded = scipy_modules_after([
+    loaded = modules_after("scipy", [
         ["probe", "--kind", "diffusion", "--d", "1"],
         ["probe", "--kind", "transport", "--d", "1"],
         ["counterexample", "--kind", "diffusion", "--d", "1"],

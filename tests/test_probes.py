@@ -284,7 +284,7 @@ def _assert_rate_bits_match_the_field(spec, probe, k, j):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("coupled", [True, False])
 def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
-    # row k comes from the same expression as the whole symbol, entry by entry
+    # row k, and entry (k, j), come from the same expression as the whole symbol
     rng = np.random.default_rng(10 * d + coupled)
     grid, n = RATE_GRIDS[d], 3
     if coupled:
@@ -300,6 +300,10 @@ def test_rate_symbol_row_has_the_bits_of_the_full_symbol(d, coupled):
         if coupled:
             assert row.shape == (1, n) + grid.shape
             assert row.tobytes() == full[k].tobytes()
+            for j in range(n):
+                entry = symbol(spec, grid.k_sixth, grid.deriv_mesh, row=k, col=j)
+                assert entry.shape == (1, 1) + grid.shape
+                assert entry.tobytes() == full[k, j].tobytes()
         else:
             assert row.shape == (1,) + grid.shape
             assert row.tobytes() == full[k].tobytes()

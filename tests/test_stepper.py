@@ -1,4 +1,6 @@
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +431,188 @@ def test_timeseries_csv_and_state_dump(tmp_path, scalar_heat_spec):
     assert np.array_equal(data["values"], ts.final_state.values)
     assert float(data["t"]) == ts.final_t
     assert int(data["n"]) == 16 and float(data["box"]) == 16.0
+
+
+# ---------------------------------------------------------------------------
+# a decoupled run split across processes
+
+
+@pytest.fixture
+def split_and_serial(monkeypatch):
+    """Runs a system split over `workers` processes from any size on, then in one process.
+
+    Returns (split series, serial series, forks the split run made).
+    """
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(stepper, "SPLIT_MIN_MODE_STEPS", 0)
+
+    def both(spec, u0, rc, workers=2):
+        monkeypatch.setattr(stepper, "_workers", lambda: workers)
+        split = run(spec, u0, rc)
+        forked = len(forks)
+        monkeypatch.setattr(stepper, "_workers", lambda: 1)
+        serial = run(spec, u0, rc)
+        assert len(forks) == forked  # one worker: the serial path
+        forks.clear()
+        return split, serial, forked
+
+    return both
+
+
+def assert_same_bits(a, b):
+    for x, y in ((a.times, b.times), (a.diagnostics, b.diagnostics),
+                 (a.final_state.values, b.final_state.values)):
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert (a.final_t, a.blown_up, a.blowup_step) == (b.final_t, b.blown_up, b.blowup_step)
+
+
+LOGISTIC_PAIR = PolynomialReaction((((1.0, (2, 0)), (-1.0, (1, 0))), ((1.0, (0, 2)), (-1.0, (0, 1)))))
+SPLIT_GRIDS = {1: Grid(d=1, n=32, box=16.0), 2: Grid(d=2, n=16, box=16.0), 3: Grid(d=3, n=8, box=8.0)}
+
+
+def componentwise(kind, rng, ncomp):
+    """A reaction whose F_k reads u_k alone."""
+    if kind == "zero":
+        return ZeroReaction()
+    if kind == "linear":
+        return PolynomialReaction.from_matrix(np.diag(rng.uniform(-1.0, 1.0, ncomp)))
+    one = lambda k, e: tuple(e * (l == k) for l in range(ncomp))  # noqa: E731
+    return PolynomialReaction(tuple(
+        ((1.0, one(k, 2)), (-rng.uniform(0.5, 1.5), one(k, 1))) for k in range(ncomp)
+    ))
+
+
+def split_initial_data(rng, grid, ncomp):
+    vals = 0.5 + 0.2 * rng.standard_normal((ncomp,) + grid.shape)
+    vals[:, 0] = -0.0  # signed zeros in every component
+    return Field(grid, vals)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "linear", "logistic"])
+@pytest.mark.parametrize("ncomp", [2, 3])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_split_run_has_the_bits_of_the_serial_run(split_and_serial, d, kind, ncomp, stride):
+    rng = np.random.default_rng(1000 * d + 10 * ncomp + stride)
+    grid = SPLIT_GRIDS[d]
+    spec = SystemSpec(d, ncomp, np.diag(rng.uniform(0.5, 2.0, ncomp)),
+                      tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d)),
+                      componentwise(kind, rng, ncomp))
+    rc = RunConfig(t_end=7e-3, dt=1e-3, output_stride=stride)
+    split, serial, forked = split_and_serial(spec, split_initial_data(rng, grid, ncomp), rc)
+    assert forked == 1  # N = 3 on two workers: chunks of 1 and 2 components
+    assert_same_bits(split, serial)
+
+
+def test_split_over_three_workers_has_the_serial_bits(split_and_serial, rng):
+    grid = SPLIT_GRIDS[2]
+    spec = SystemSpec(2, 3, np.diag([1.0, 0.5, 2.0]), (np.diag([0.2, -0.3, 0.0]),) * 2,
+                      componentwise("logistic", rng, 3))
+    split, serial, forked = split_and_serial(spec, split_initial_data(rng, grid, 3),
+                                             RunConfig(t_end=5e-3, dt=1e-3), workers=3)
+    assert forked == 2
+    assert_same_bits(split, serial)
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "logistic"])
+def test_split_with_transport_on_one_component_only_has_the_serial_bits(split_and_serial, rng,
+                                                                         kind):
+    # chunk 1 has no transport on axes 0 and 2, so its symbol skips their meshes
+    grid = SPLIT_GRIDS[3]
+    spec = SystemSpec(3, 2, np.diag([1.0, 0.5]),
+                      (np.diag([0.7, 0.0]), np.diag([-0.4, 0.3]), np.diag([-1.2, 0.0])),
+                      componentwise(kind, rng, 2))
+    split, serial, forked = split_and_serial(spec, split_initial_data(rng, grid, 2),
+                                             RunConfig(t_end=6e-3, dt=1e-3))
+    assert forked == 1
+    assert_same_bits(split, serial)
+
+
+def test_split_with_one_linear_component_steps_it_by_if_rk4(split_and_serial, rng):
+    # F_1 = 0.5 u_1 alone is linear, but the system is not: component 1 takes
+    # IF-RK4 like the whole, not the exact step of its chunk alone
+    grid = SPLIT_GRIDS[1]
+    spec = SystemSpec(1, 2, np.diag([1.0, 0.5]), (np.diag([0.3, -0.2]),),
+                      PolynomialReaction((((1.0, (2, 0)), (-1.0, (1, 0))), ((0.5, (0, 1)),))))
+    split, serial, forked = split_and_serial(spec, split_initial_data(rng, grid, 2),
+                                             RunConfig(t_end=0.1, dt=0.01))
+    assert forked == 1
+    assert_same_bits(split, serial)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_split_run_that_blows_up_in_one_component_has_the_serial_series(split_and_serial, stride):
+    # F_1 = -u_1^2 blows up from 2 during step 33 at dt 1/64; u_0 decays
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2),
+                      PolynomialReaction((((1.0, (1, 0)),), ((-1.0, (0, 2)),))))
+    u0 = Field(BLOWUP_GRID, np.stack([np.full(16, 0.5), np.full(16, 2.0)]))
+    rc = RunConfig(t_end=2.0, dt=1 / 64, output_stride=stride)
+    split, serial, forked = split_and_serial(spec, u0, rc)
+    assert forked == 1 and split.blown_up and split.blowup_step == 33
+    assert_same_bits(split, serial)
+
+
+def test_coupled_and_lotka_volterra_configs_never_fork(split_and_serial):
+    from trilap import load_grid, load_system
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    forks = {}
+    for path in sorted(configs.glob("*.json")):
+        spec, grid = load_system(path.read_text()), load_grid(path.read_text())
+        u0 = Field(grid, np.full((spec.ncomp,) + grid.shape, 0.5))
+        split, serial, forks[path.stem] = split_and_serial(spec, u0, RunConfig(t_end=4e-3, dt=1e-3))
+        assert_same_bits(split, serial)
+    assert forks == {"coupled_diffusion": 0, "coupled_transport": 0, "diagonal_logistic": 1,
+                     "lotka_volterra": 0}
+
+
+def test_no_split_below_the_break_even_or_on_one_cpu(monkeypatch):
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2), ZeroReaction())
+    grid = Grid(d=1, n=64, box=16.0)
+    steps = -(-stepper.SPLIT_MIN_MODE_STEPS // grid.size)
+    monkeypatch.setattr(stepper, "_workers", lambda: 2)
+    assert stepper._chunks(spec, grid, RunConfig(t_end=steps - 1, dt=1.0)) is None
+    assert len(stepper._chunks(spec, grid, RunConfig(t_end=steps, dt=1.0))) == 2
+    monkeypatch.setattr(stepper, "_workers", lambda: 1)
+    assert stepper._chunks(spec, grid, RunConfig(t_end=steps, dt=1.0)) is None
+
+
+@pytest.mark.parametrize("chunk", [0, 1])
+def test_error_in_a_chunk_is_raised_with_its_type_and_every_child_is_joined(split_and_serial,
+                                                                            chunk):
+    import multiprocessing
+
+    from trilap import PropagatorOverflowError
+
+    grid = SPLIT_GRIDS[1]
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2), LOGISTIC_PAIR)
+    u0 = Field(grid, np.full((2, 32), 0.5))
+    rc = RunConfig(t_end=2e-3, dt=1e-3)
+    split, serial, _ = split_and_serial(spec, u0, rc)
+    assert multiprocessing.active_children() == []
+    # a transport entry whose exponential overflows, in the parent's chunk or the child's
+    huge = np.zeros((2, 2))
+    huge[chunk, chunk] = 1e308
+    bad = SystemSpec(1, 2, np.eye(2), (huge,), LOGISTIC_PAIR)
+    with pytest.raises(PropagatorOverflowError):
+        split_and_serial(bad, u0, RunConfig(t_end=20.0, dt=10.0))
+    assert multiprocessing.active_children() == []
+
+
+
+def test_chunk_process_that_ends_without_its_result_is_an_error(split_and_serial, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(stepper, "_step_chunk", lambda conn, *args: os._exit(3))
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2), LOGISTIC_PAIR)
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        split_and_serial(spec, Field(SPLIT_GRIDS[1], np.full((2, 32), 0.5)),
+                         RunConfig(t_end=2e-3, dt=1e-3))
+    assert multiprocessing.active_children() == []
