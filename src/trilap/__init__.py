@@ -13,7 +13,6 @@ from .core import (
     PositivityError,
     SystemSpec,
     Violation,
-    ZeroReaction,
     load_grid,
     load_system,
 )
@@ -54,7 +53,7 @@ from .stepper import (
 __all__ = [
     # core
     "AuditReport", "ConfigError", "DimensionMismatchError", "Field", "Grid",
-    "PolynomialReaction", "PositivityError", "SystemSpec", "Violation", "ZeroReaction",
+    "PolynomialReaction", "PositivityError", "SystemSpec", "Violation",
     "load_grid", "load_system",
     # criterion
     "SignSampler", "audit", "check_assumption_offdiag_nonneg", "check_diagonality",

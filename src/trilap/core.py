@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "Grid",
     "Field",
     "Reaction",
-    "ZeroReaction",
     "PolynomialReaction",
     "SystemSpec",
     "Violation",
@@ -261,30 +260,19 @@ class Reaction:
         """
         raise NotImplementedError
 
-    def linear_matrix(self, ncomp: int) -> np.ndarray | None:
+    def linear_matrix(self) -> np.ndarray | None:
         """Read-only N x N L with F(u) = L u exactly, or None (the default: not linear)."""
 
     def validate(self, ncomp: int) -> None:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroReaction(Reaction):
-    def evaluate(self, values):
-        return np.zeros_like(values)
-
-    def linear_matrix(self, ncomp):
-        return _readonly(np.zeros((ncomp, ncomp)))
-
-    def validate(self, ncomp):
-        pass
-
-
 @dataclass(frozen=True, eq=False)
 class PolynomialReaction(Reaction):
-    """Per-component sums of monomials coeff * prod_l u_l**e_l.
+    """Per-component sums of monomials coeff * prod_l u_l**e_l; N is len(terms).
 
-    F = L u is the polynomial of degree-1 terms (`from_matrix`).
+    F = L u is the polynomial of degree-1 terms (`from_matrix`), and F = 0
+    the one with no terms, ((),) * N.
     """
 
     terms: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
@@ -337,9 +325,9 @@ class PolynomialReaction(Reaction):
                         out[k] += term
         return out
 
-    def linear_matrix(self, ncomp):
+    def linear_matrix(self):
         """L when every term has degree 1 (equal exponents add); else None, even for 0 * u^2."""
-        mat = np.zeros((ncomp, ncomp))
+        mat = np.zeros((len(self.terms),) * 2)
         for k, comp in enumerate(self.terms):
             for coeff, expo in comp:
                 if sum(expo) != 1:
@@ -380,13 +368,16 @@ def _monomial(coeff, exponents, at: str) -> tuple[float, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """Validated system data: dimension, diffusion/transport matrices, reaction."""
+    """Validated system data: dimension, diffusion/transport matrices, reaction.
+
+    The reaction defaults to F = 0, the polynomial with no terms.
+    """
 
     d: int
     ncomp: int
     diffusion: np.ndarray
     transport: tuple[np.ndarray, ...]
-    reaction: Reaction = field(default_factory=ZeroReaction)
+    reaction: Reaction | None = None
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -403,6 +394,8 @@ class SystemSpec:
             as_square_matrix(g, side=self.ncomp, name=f"Gamma[{i}]")
             for i, g in enumerate(gammas)
         )
+        if self.reaction is None:  # built once D has checked N
+            object.__setattr__(self, "reaction", PolynomialReaction(((),) * self.ncomp))
         self.reaction.validate(self.ncomp)
         object.__setattr__(self, "diffusion", diff)
         object.__setattr__(self, "transport", gammas)
@@ -471,12 +464,13 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _reaction_from_config(node, ncomp: int) -> Reaction:
+def _reaction_from_config(node, ncomp: int) -> Reaction | None:
+    """The config's reaction; None for kind "zero", SystemSpec's default."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("field 'reaction': expected an object with a 'kind'")
     kind = node["kind"]
     if kind == "zero":
-        return ZeroReaction()
+        return None
     if kind == "linear":
         if "L" not in node:
             raise ConfigError("field 'reaction.L': required for kind 'linear'")

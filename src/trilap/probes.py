@@ -53,7 +53,6 @@ from .core import (
     PolynomialReaction,
     Reaction,
     SystemSpec,
-    ZeroReaction,
 )
 from .spectral import (
     PropagatorOverflowError,
@@ -342,18 +341,23 @@ def _rate_at_origin(
     spectra are +0.0, and adding the signed zeros of their products leaves
     every nonzero entry as it is, so a coupled row's linear part is its
     entry j times the probe's spectrum; a diagonal row reads component k
-    alone, which is zero, and gives 0.0.  The inverse runs last axis first,
-    as ifftn does, keeping the origin of each transformed axis: the same
-    lines, each transformed alone, give the same bits (README "Numerical
-    notes").
+    alone, which is zero, and gives 0.0.  The forward passes run last axis
+    first, as fftn does, in place on one complex copy of the probe (fft of
+    a real line has the bits of its complex copy); the inverse passes run
+    last axis first, as ifftn does, in place, keeping the origin of each
+    transformed axis: the same lines, each transformed alone, give the same
+    bits (README "Numerical notes").  So the rate holds one complex
+    spectrum at a time.
     """
     grid = probe.grid
     lin = 0.0
     if m_kj is not None:
-        line = np.fft.fftn(probe.values[0])
+        line = probe.values[0].astype(complex)
+        for axis in reversed(range(grid.d)):
+            np.fft.fft(line, axis=axis, out=line)
         line *= m_kj  # in place: the product's bits, without a second spectrum
         for _ in range(grid.d):
-            line = np.fft.ifft(line)[..., grid.n // 2]
+            line = np.fft.ifft(line, out=line)[..., grid.n // 2]
         lin = line.real
     # the reaction is elementwise, so evaluating it at the origin sample alone keeps its bits
     at_origin = np.zeros((spec.ncomp, 1))
@@ -365,9 +369,9 @@ def _rate_at_origin(
 # violation experiments
 
 
-def _identity_system(d: int, ncomp: int, reaction: Reaction = ZeroReaction(),
+def _identity_system(d: int, ncomp: int, reaction: Reaction | None = None,
                      diffusion=None, transport=None) -> SystemSpec:
-    """SystemSpec with identity diffusion and zero transport unless given."""
+    """SystemSpec with identity diffusion, zero transport and F = 0 unless given."""
     if diffusion is None:
         diffusion = np.eye(ncomp)
     if transport is None:
@@ -661,7 +665,7 @@ def ode_reduction_check(
     spec = _identity_system(grid.d, ncomp, reaction)
     u0 = Field(grid, np.broadcast_to(y0.reshape((ncomp,) + (1,) * grid.d), (ncomp,) + grid.shape))
     ts = run(spec, u0, RunConfig(t_end=t_end, dt=dt, output_stride=1))
-    lin = reaction.linear_matrix(ncomp)
+    lin = reaction.linear_matrix()
     if lin is None:
         ode = rk4_ode(reaction, y0, t_end, dt)
     else:

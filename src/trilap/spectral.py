@@ -286,7 +286,7 @@ def build_propagator(spec: SystemSpec, grid: Grid, dt: float) -> ModePropagator:
         raise DimensionMismatchError(f"grid dimension {grid.d} != system dimension {spec.d}")
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    lin = spec.reaction.linear_matrix(spec.ncomp)
+    lin = spec.reaction.linear_matrix()
     folded = () if lin is None else (lin,)
     # an overflow in dt * M leaves a non-finite entry, reported below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,12 +1,12 @@
 """Time integration of the sixth-order reaction-diffusion-transport system.
 
-Exactly linear reactions F = L u (Reaction.linear_matrix: zero, and
-polynomials of degree-1 terms only, the config's "linear" spelling among
-them) are advanced exactly: one step is the
-per-mode exponential of the full symbol with L folded in, so the only error
-is roundoff.  Others use integrating-factor RK4 on v = exp(-t*M) u_hat
-(Kassam & Trefethen, SIAM J. Sci. Comput. 26(4), 2005).  It needs only the
-half-step factor E2 = exp(dt/2 M), since E = exp(dt M) = E2 E2:
+Exactly linear reactions F = L u (Reaction.linear_matrix: polynomials of
+degree-1 terms only, the config's "zero" and "linear" spellings among them)
+are advanced exactly: one step is the per-mode exponential of the full
+symbol with L folded in, so the only error is roundoff.  Others use
+integrating-factor RK4 on v = exp(-t*M) u_hat (Kassam & Trefethen, SIAM J.
+Sci. Comput. 26(4), 2005).  It needs only the half-step factor
+E2 = exp(dt/2 M), since E = exp(dt M) = E2 E2:
 
     N1 = N(c)                       N(c) = -fft(F(ifft(c))), dealiased
     h  = E2 c,  g = E2 N1
@@ -68,9 +68,7 @@ from .core import (
     Field,
     Grid,
     PolynomialReaction,
-    Reaction,
     SystemSpec,
-    ZeroReaction,
 )
 from .spectral import _decoupled, build_propagator, irfftn, rfftn
 
@@ -134,16 +132,26 @@ class TimeSeries:
     """Diagnostics at each recorded time plus the final (or last finite) state.
 
     diagnostics has shape (n_records, ncomp, 4) with columns
-    (min, argmin flat index, mass, component L2 norm).
+    (min, argmin flat index, mass, component L2 norm).  final_state is the
+    state at the last recorded time.
     """
 
-    grid: Grid
     times: np.ndarray
     diagnostics: np.ndarray
     final_state: Field
-    final_t: float
-    blown_up: bool = False
     blowup_step: int | None = None
+
+    @property
+    def grid(self) -> Grid:
+        return self.final_state.grid
+
+    @property
+    def final_t(self) -> float:
+        return float(self.times[-1])
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_step is not None
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -227,11 +235,9 @@ def run(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         # serial run gives its series up to there and its last recorded state
         return _integrate(spec, u0, rc)
     return TimeSeries(
-        grid=grid,
         times=parts[0].times,
         diagnostics=np.concatenate([ts.diagnostics for ts in parts], axis=1),
         final_state=Field(grid, np.concatenate([ts.final_state.values for ts in parts])),
-        final_t=parts[0].final_t,
     )
 
 
@@ -244,7 +250,7 @@ def _integrate(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
         return irfftn(c, grid.n, grid.d)
 
     coeffs = rfftn(u0.values, grid.d)
-    if spec.reaction.linear_matrix(spec.ncomp) is not None:
+    if spec.reaction.linear_matrix() is not None:
         prop = build_propagator(spec, grid, dt)
         values = None  # a linear step reads only the spectrum
 
@@ -276,8 +282,7 @@ def _integrate(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
 
     times = [0.0]
     rows = [_diagnostics_row(u0.values, grid)]
-    last_values, last_t = u0.values, 0.0
-    blown, blow_step = False, None
+    last_values, blow_step = u0.values, None
 
     for step in range(1, rc.n_steps + 1):
         # a step that overflows is reported by the blow-up check, not by numpy
@@ -289,21 +294,17 @@ def _integrate(spec: SystemSpec, u0: Field, rc: RunConfig) -> TimeSeries:
             # transformed after advance returns, once its stage arrays are freed
             values = to_values(coeffs)
         if _too_large(values):
-            blown, blow_step = True, step
+            blow_step = step
             break
         if step % rc.output_stride == 0 or step == rc.n_steps:
-            t = step * dt
-            times.append(t)
+            times.append(step * dt)
             rows.append(_diagnostics_row(values, grid))
-            last_values, last_t = values, t
+            last_values = values
 
     return TimeSeries(
-        grid=grid,
         times=np.asarray(times),
         diagnostics=np.asarray(rows),
         final_state=Field(grid, last_values),
-        final_t=last_t,
-        blown_up=blown,
         blowup_step=blow_step,
     )
 
@@ -313,54 +314,43 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@dataclass(frozen=True, eq=False)
-class _SteppedReaction(Reaction):
-    """A chunk's share of a reaction that is not linear as a whole.
+class _SteppedReaction(PolynomialReaction):
+    """A chunk's share of a polynomial that is not linear as a whole.
 
     It is stepped by IF-RK4 like the whole system, also where the chunk's
     own terms are all of degree 1: linear_matrix stays None.
     """
 
-    reaction: Reaction
-
-    def evaluate(self, values):
-        return self.reaction.evaluate(values)
-
-    def validate(self, ncomp):
-        self.reaction.validate(ncomp)
+    def linear_matrix(self):
+        return None
 
 
 def _chunks(spec: SystemSpec, grid: Grid, rc: RunConfig) -> list[tuple[slice, SystemSpec]] | None:
     """The system as independent subsystems of contiguous components, one per worker.
 
     None, to run it whole, unless it is decoupled (D and every T[a]
-    diagonal, F a ZeroReaction or a PolynomialReaction whose F_k reads u_k
-    alone), more than one CPU and `fork` are at hand, no other thread runs
-    (a forked child would inherit its locks), and grid.size * n_steps
-    reaches SPLIT_MIN_MODE_STEPS.  Each subsystem keeps its diagonal blocks
-    and its components' terms, restricted to its components.
+    diagonal, F a PolynomialReaction whose F_k reads u_k alone), more than
+    one CPU and `fork` are at hand, no other thread runs (a forked child
+    would inherit its locks), and grid.size * n_steps reaches
+    SPLIT_MIN_MODE_STEPS.  Each subsystem keeps its diagonal blocks and its
+    components' terms, restricted to its components.
     """
     parts = min(spec.ncomp, _workers())
     react = spec.reaction
     if (parts < 2 or grid.size * rc.n_steps < SPLIT_MIN_MODE_STEPS or not hasattr(os, "fork")
-            or threading.active_count() > 1 or not _decoupled(spec, ())):
+            or threading.active_count() > 1 or not _decoupled(spec, ())
+            or type(react) is not PolynomialReaction
+            or any(e and l != k for k, comp in enumerate(react.terms)
+                   for _, expo in comp for l, e in enumerate(expo))):
         return None
-    if type(react) is PolynomialReaction:
-        if any(e and l != k for k, comp in enumerate(react.terms)
-               for _, expo in comp for l, e in enumerate(expo)):
-            return None
-    elif type(react) is not ZeroReaction:
-        return None
-    linear = react.linear_matrix(spec.ncomp) is not None
+    chunk_reaction = PolynomialReaction if react.linear_matrix() is not None else _SteppedReaction
     bounds = [spec.ncomp * i // parts for i in range(parts + 1)]
     chunks = []
     for lo, hi in zip(bounds, bounds[1:]):
         s = slice(lo, hi)
-        sub = react if type(react) is ZeroReaction else PolynomialReaction(
-            tuple(tuple((c, e[s]) for c, e in comp) for comp in react.terms[s]))
+        sub = chunk_reaction(tuple(tuple((c, e[s]) for c, e in comp) for comp in react.terms[s]))
         chunks.append((s, SystemSpec(spec.d, hi - lo, spec.diffusion[s, s],
-                                     tuple(t[s, s] for t in spec.transport),
-                                     sub if linear else _SteppedReaction(sub))))
+                                     tuple(t[s, s] for t in spec.transport), sub)))
     return chunks
 
 

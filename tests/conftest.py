@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trilap import Grid, SystemSpec, ZeroReaction
+from trilap import Grid, SystemSpec
 
 
 def pd_diffusion(rng, n):
@@ -28,7 +28,7 @@ def grid1d():
 @pytest.fixture
 def scalar_heat_spec():
     """d=1, single component, pure sixth-order diffusion."""
-    return SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), ZeroReaction())
+    return SystemSpec(1, 1, [[1.0]], zero_transport(1, 1))
 
 
 @pytest.fixture

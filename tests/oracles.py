@@ -25,7 +25,7 @@ def mode_exponential_step(spec, grid, values, dt):
     symbol = -k6.reshape(-1, 1, 1) * np.asarray(spec.diffusion)[None].astype(complex)
     for dm, g in zip(dmesh, spec.transport):
         symbol = symbol + 1j * dm.reshape(-1, 1, 1) * np.asarray(g)[None]
-    lin = spec.reaction.linear_matrix(ncomp)
+    lin = spec.reaction.linear_matrix()
     if lin is not None:
         symbol = symbol - np.asarray(lin)[None]
     w, v = np.linalg.eig(dt * symbol)

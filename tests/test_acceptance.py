@@ -13,7 +13,6 @@ from trilap import (
     Grid,
     PolynomialReaction,
     SystemSpec,
-    ZeroReaction,
     audit,
     build_diffusion_probe,
     run,
@@ -126,7 +125,7 @@ def test_criterion_5_linear_oracle_equivalence():
         grid = Grid(d, n, 16.0)
         diffusion = pd_diffusion(rng, ncomp)
         gammas = tuple(rng.uniform(-1, 1, (ncomp, ncomp)) for _ in range(d))
-        reaction = ZeroReaction()
+        reaction = None
         if trial % 2 == 0:
             reaction = PolynomialReaction.from_matrix(rng.uniform(-1, 1, (ncomp, ncomp)))
         spec = SystemSpec(d, ncomp, diffusion, gammas, reaction)
@@ -183,7 +182,7 @@ def test_criterion_7_audit_property_suite():
             report = audit(corrupted, sampler)
             hit = {"matrix": "A", "row": k, "col": j} in [v.site for v in report.violations]
         elif choice == 1:
-            L = spec.reaction.linear_matrix(ncomp).copy()
+            L = spec.reaction.linear_matrix().copy()
             L[k, j] = float(rng.uniform(0.1, 1.0))
             corrupted = SystemSpec(spec.d, ncomp, spec.diffusion, spec.transport,
                                    PolynomialReaction.from_matrix(L))

@@ -33,9 +33,25 @@ def test_package_exports_exactly_what_init_imports():
     assert set(trilap.__all__) == imported
 
 
-def test_readme_library_layout_names_every_export():
+def _readme_library_layout() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_layout_names_every_export():
+    layout = _readme_library_layout()
     # each name as inline code: `name` or `name(...)`
     missing = [n for n in trilap.__all__ if not re.search(rf"`{n}[`(]", layout)]
     assert not missing, f"README 'Library layout' does not name: {missing}"
+
+
+def test_readme_library_layout_names_no_removed_class():
+    # every CamelCase name in inline code is an attribute of trilap or of one of its modules
+    names = {
+        name
+        for code in re.findall(r"`([^`]+)`", _readme_library_layout())
+        for name in re.findall(r"\b[A-Z][a-z]\w*", code)
+    }
+    modules = [trilap, *(importlib.import_module(f"trilap.{m}") for m in MODULES)]
+    unknown = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
+    assert names and not unknown, f"README 'Library layout' names what trilap lacks: {unknown}"

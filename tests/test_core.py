@@ -12,7 +12,6 @@ from trilap import (
     PolynomialReaction,
     PositivityError,
     SystemSpec,
-    ZeroReaction,
     load_grid,
     load_system,
 )
@@ -35,7 +34,15 @@ def test_load_minimal_valid_system():
     spec = load_system(json.dumps(VALID_CFG))
     assert spec.d == 1 and spec.ncomp == 1
     assert spec.diffusion[0, 0] == 1.0
-    assert isinstance(spec.reaction, ZeroReaction)
+    # kind "zero" is SystemSpec's default, the polynomial with no terms
+    assert type(spec.reaction) is PolynomialReaction and spec.reaction.terms == ((),)
+
+
+@pytest.mark.parametrize("ncomp", [2, 2**70])
+def test_zero_reaction_is_built_after_n_is_checked(ncomp):
+    # an N that D does not match is named as such, never as an error of ((),) * N
+    with pytest.raises(DimensionMismatchError, match="expected side"):
+        load_system(json.dumps(dict(VALID_CFG, N=ncomp)))
 
 
 def test_positivity_violation_names_eigenvalue():
@@ -223,7 +230,7 @@ def test_coord_mesh_is_broadcastable_axes(d):
 
 
 def test_reaction_evaluations():
-    zero = ZeroReaction()
+    zero = PolynomialReaction(((), ()))
     assert np.array_equal(zero.evaluate(np.ones((2, 4))), np.zeros((2, 4)))
     lin = PolynomialReaction.from_matrix([[2.0, -1.0], [-1.0, 2.0]])
     out = lin.evaluate(np.ones((2, 4)))
@@ -234,20 +241,19 @@ def test_reaction_evaluations():
 
 
 def test_linear_matrix_decides_exact_linearity():
-    assert np.array_equal(ZeroReaction().linear_matrix(2), np.zeros((2, 2)))
     L = [[0.5, -1.0], [0.0, 2.0]]
-    assert np.array_equal(PolynomialReaction.from_matrix(L).linear_matrix(2), L)
+    assert np.array_equal(PolynomialReaction.from_matrix(L).linear_matrix(), L)
     # equal exponents merge by adding their coefficients
     merged = PolynomialReaction((((1.5, (0, 1)), (2.0, (1, 0)), (-0.5, (0, 1))), ()))
-    assert np.array_equal(merged.linear_matrix(2), [[2.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(merged.linear_matrix(), [[2.0, 1.0], [0.0, 0.0]])
     empty = PolynomialReaction(((), ()))
-    assert np.array_equal(empty.linear_matrix(2), np.zeros((2, 2)))
-    for reaction in (ZeroReaction(), PolynomialReaction.from_matrix(L), merged, empty):
-        assert not reaction.linear_matrix(2).flags.writeable
+    assert np.array_equal(empty.linear_matrix(), np.zeros((2, 2)))
+    for reaction in (PolynomialReaction.from_matrix(L), merged, empty):
+        assert not reaction.linear_matrix().flags.writeable
     # any term of degree 0 or >= 2 rules linearity out, whatever its coefficient
     for term in ((1.0, (0, 0)), (0.0, (0, 0)), (1.0, (1, 1)), (1.0, (0, 2)), (0.0, (2, 0))):
         mixed = PolynomialReaction((((1.0, (1, 0)),), ((-1.0, (0, 1)), term)))
-        assert mixed.linear_matrix(2) is None, term
+        assert mixed.linear_matrix() is None, term
 
 
 def test_from_matrix_gives_back_the_matrix_byte_for_byte(rng):
@@ -258,11 +264,11 @@ def test_from_matrix_gives_back_the_matrix_byte_for_byte(rng):
         reaction = PolynomialReaction.from_matrix(L)
         assert [[expo.index(1) for _, expo in comp] for comp in reaction.terms] == [
             list(np.flatnonzero(row)) for row in L]
-        assert reaction.linear_matrix(n).tobytes() == L.tobytes()
+        assert reaction.linear_matrix().tobytes() == L.tobytes()
     # -0.0 has no term, so its entry reads +0.0
     signed = PolynomialReaction.from_matrix([[1.0, -0.0], [0.0, -2.0]])
     assert signed.terms == (((1.0, (1, 0)),), ((-2.0, (0, 1)),))
-    assert signed.linear_matrix(2).tobytes() == np.array([[1.0, 0.0], [0.0, -2.0]]).tobytes()
+    assert signed.linear_matrix().tobytes() == np.array([[1.0, 0.0], [0.0, -2.0]]).tobytes()
 
 
 def test_polynomial_evaluate_has_the_same_bits_on_transposed_input(rng):
@@ -286,7 +292,7 @@ def test_linear_matrix_of_a_degree_one_polynomial_reproduces_its_evaluation():
     )
     reaction = PolynomialReaction(terms)
     values = rng.uniform(-3, 3, (3, 5, 7))
-    got = np.einsum("kj,j...->k...", reaction.linear_matrix(3), values)
+    got = np.einsum("kj,j...->k...", reaction.linear_matrix(), values)
     assert np.abs(got - reaction.evaluate(values)).max() <= 1e-13
 
 

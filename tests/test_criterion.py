@@ -6,7 +6,6 @@ import pytest
 from trilap import (
     PolynomialReaction,
     SystemSpec,
-    ZeroReaction,
     audit,
     check_assumption_offdiag_nonneg,
     check_diagonality,
@@ -40,7 +39,7 @@ def make_diagonal_system(rng, d=None, ncomp=None, linear=True):
         np.fill_diagonal(off, rng.uniform(-1.0, 1.0, ncomp))
         reaction = PolynomialReaction.from_matrix(off)
     else:
-        reaction = ZeroReaction()
+        reaction = None
     return SystemSpec(d, ncomp, diff, gammas, reaction)
 
 
@@ -65,7 +64,7 @@ def test_diagonality_examples():
 
 
 def test_boundary_sign_zero_reaction_clean():
-    assert check_reaction_boundary_sign(ZeroReaction(), 3) == []
+    assert check_reaction_boundary_sign(PolynomialReaction(((),) * 3), 3) == []
 
 
 def test_boundary_sign_linear_examples():
@@ -165,7 +164,7 @@ def test_audit_random_diagonal_systems_pass_and_corruptions_fail(rng):
             corrupted = SystemSpec(spec.d, n, diff, spec.transport, spec.reaction)
             want = {"matrix": "A", "row": int(k), "col": int(j)}
         elif target == 1:
-            L = spec.reaction.linear_matrix(n).copy()
+            L = spec.reaction.linear_matrix().copy()
             L[k, j] = rng.uniform(0.1, 1.0)
             corrupted = SystemSpec(spec.d, n, spec.diffusion, spec.transport,
                                    PolynomialReaction.from_matrix(L))

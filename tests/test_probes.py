@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,6 @@ from trilap import (
     PolynomialReaction,
     ProbeConstructionError,
     SystemSpec,
-    ZeroReaction,
     build_diffusion_probe,
     build_transport_probe,
     run_violation_experiment,
@@ -347,6 +347,24 @@ def test_rate_at_origin_matches_with_every_component_and_a_reaction(d, coupled, 
             _assert_rate_bits_match_the_field(spec, Field(grid, vals), k, j)
 
 
+def test_rate_at_origin_holds_one_complex_spectrum():
+    # the transforms run in place on one complex copy of the probe: no second spectrum
+    grid = Grid(3, 64, 2.2)
+    kind = DiffusionViolation()
+    spec = kind.system(grid.d)
+    m_kj = _rate_entry(spec, grid, kind.k, kind.j)
+    probe = kind.probe(grid, 1.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _rate_at_origin(spec, m_kj, probe, kind.k, kind.j)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    spectrum = 16 * grid.size
+    assert spectrum <= peak <= 1.01 * spectrum, peak / spectrum
+
+
 def test_violation_kind_validation():
     with pytest.raises(ValueError):
         DiffusionViolation(k=1, j=1)
@@ -545,7 +563,7 @@ def test_violation_report_serializable():
 
 
 def test_ode_reduction_zero_reaction():
-    cmp = ode_reduction_check(ZeroReaction(), np.array([1.0, 2.0]), 0.5, 1 / 64)
+    cmp = ode_reduction_check(PolynomialReaction(((), ())), np.array([1.0, 2.0]), 0.5, 1 / 64)
     assert cmp.max_deviation < 1e-13
     assert cmp.pde_first_negative is None and cmp.ode_first_negative is None
     assert cmp.negativity_times_agree
@@ -582,7 +600,7 @@ def test_ode_reduction_of_an_exactly_linear_reaction_has_an_exact_reference(reac
 
 def test_ode_reduction_rejects_negative_start():
     with pytest.raises(ValueError):
-        ode_reduction_check(ZeroReaction(), np.array([-1.0]), 0.5, 1 / 64)
+        ode_reduction_check(PolynomialReaction(((),)), np.array([-1.0]), 0.5, 1 / 64)
 
 
 def test_rk4_ode_truncates_on_blowup():

@@ -9,7 +9,6 @@ from trilap import (
     PolynomialReaction,
     PropagatorOverflowError,
     SystemSpec,
-    ZeroReaction,
     apply_modes,
     build_propagator,
     matrix_exp_batch,
@@ -461,7 +460,7 @@ def test_mode_bound_is_at_least_the_gershgorin_bound_of_every_assembled_mode(d, 
         gammas[0] = np.zeros((ncomp, ncomp))  # an axis without transport
     lin = rng.uniform(-3.0, 3.0, (ncomp, ncomp))
     for folded in ((), (lin,)):
-        reaction = PolynomialReaction.from_matrix(lin) if folded else ZeroReaction()
+        reaction = PolynomialReaction.from_matrix(lin) if folded else None
         spec = SystemSpec(d, ncomp, pd_diffusion(rng, ncomp), tuple(gammas), reaction)
         for dt in (1e-5, 3e-2, 10.0):
             bound = spectral._gershgorin_bounds(spec, g, dt, folded)
@@ -582,8 +581,8 @@ def test_decoupled_propagator_matches_matrix_exp(rng, d, n, fold):
     diff = np.diag(rng.uniform(0.2, 2.0, ncomp))
     gammas = tuple(np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d))
     lin = np.diag(rng.uniform(-1.0, 1.0, ncomp))
-    # a linear reaction is folded into the propagator, a zero one is not
-    reaction = PolynomialReaction.from_matrix(lin) if fold else ZeroReaction()
+    # a linear reaction is folded into the propagator; F = 0 folds zeros
+    reaction = PolynomialReaction.from_matrix(lin) if fold else None
     spec = SystemSpec(d, ncomp, diff, gammas, reaction)
     dt = 2e-3
     prop = build_propagator(spec, g, dt)
@@ -603,7 +602,7 @@ def test_diagonal_transport_with_coupled_linear_reaction_is_coupled(rng):
     lin = np.array([[1.0, 0.5], [0.0, 1.0]])
     spec = SystemSpec(2, 2, np.diag([1.0, 2.0]), (np.diag([0.5, -0.5]), np.eye(2)),
                       PolynomialReaction.from_matrix(lin))
-    twin = SystemSpec(2, 2, spec.diffusion, spec.transport, ZeroReaction())
+    twin = SystemSpec(2, 2, spec.diffusion, spec.transport)
     assert build_propagator(twin, g, 0.01).decoupled
     folded = build_propagator(spec, g, 0.01)
     assert not folded.decoupled
@@ -618,7 +617,7 @@ def _coupled_case(rng, case):
     g = Grid(d=d, n={1: 64, 2: 32, 3: 16}[d], box=8.0)
     diff = np.diag(rng.uniform(0.5, 2.0, ncomp))
     gammas = [np.diag(rng.uniform(-1.0, 1.0, ncomp)) for _ in range(d)]
-    reaction = ZeroReaction()
+    reaction = None
     if case.startswith("D"):
         diff[0, 1] = 0.7
     elif case == "T3axis0":
@@ -639,8 +638,8 @@ def test_coupled_propagator_is_matrix_exp_of_every_mode(rng, case):
     # the table is exactly the per-mode exponential of every half-spectrum symbol
     spec, g = _coupled_case(rng, case)
     dt = 3e-3
-    lin = spec.reaction.linear_matrix(spec.ncomp)
-    folded = () if isinstance(spec.reaction, ZeroReaction) else (lin,)
+    lin = spec.reaction.linear_matrix()
+    folded = (lin,) if lin.any() else ()
     want = matrix_exp_batch(dt * symbol(spec, g.half_k_sixth, g.half_deriv_mesh, folded))
     exps = build_propagator(spec, g, dt).exps
     assert exps.shape == (spec.ncomp,) * 2 + g.half_shape
@@ -653,8 +652,8 @@ def test_coupled_build_exponentiates_every_mode_in_one_batch(monkeypatch, rng, c
     # or more; every other mode of the table is +0.0
     spec, g = _coupled_case(rng, case)
     dt = 3e-3
-    lin = spec.reaction.linear_matrix(spec.ncomp)
-    folded = () if isinstance(spec.reaction, ZeroReaction) else (lin,)
+    lin = spec.reaction.linear_matrix()
+    folded = (lin,) if lin.any() else ()
     stacks, solved = _spy_pade(monkeypatch)
     exps = build_propagator(spec, g, dt).exps
     monkeypatch.undo()
@@ -688,7 +687,7 @@ def test_propagator_spectral_radius_bound(rng):
 def test_propagator_folds_linear_reaction():
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), PolynomialReaction.from_matrix([[2.0]]))
-    twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1), ZeroReaction())
+    twin = SystemSpec(1, 1, [[1.0]], zero_transport(1, 1))
     dt = 0.1
     plain = build_propagator(twin, g, dt)
     folded = build_propagator(spec, g, dt)
@@ -701,7 +700,7 @@ def test_propagator_leaves_polynomial_reaction_out():
     # only a linear reaction belongs to the linear flow; IF-RK4 handles the rest
     g = Grid(d=1, n=16, box=8.0)
     spec = SystemSpec(1, 1, [[1.0]], ([[0.3]],), PolynomialReaction((((1.0, (2,)),),)))
-    twin = SystemSpec(1, 1, [[1.0]], ([[0.3]],), ZeroReaction())
+    twin = SystemSpec(1, 1, [[1.0]], ([[0.3]],))
     exps, twin_exps = build_propagator(spec, g, 0.1).exps, build_propagator(twin, g, 0.1).exps
     assert exps.dtype == twin_exps.dtype and np.array_equal(exps, twin_exps)
 

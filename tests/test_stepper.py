@@ -12,7 +12,6 @@ from trilap import (
     PolynomialReaction,
     RunConfig,
     SystemSpec,
-    ZeroReaction,
     build_propagator,
     run,
 )
@@ -155,7 +154,7 @@ def test_if_rk4_applies_one_half_step_table_four_times_per_step(rng, monkeypatch
 
 def test_evaluate_reaction_examples():
     ones = np.ones((2, 64))
-    assert np.array_equal(ZeroReaction().evaluate(ones), np.zeros((2, 64)))
+    assert np.array_equal(PolynomialReaction(((), ())).evaluate(ones), np.zeros((2, 64)))
     lin = PolynomialReaction.from_matrix([[2.0, -1.0], [-1.0, 2.0]])
     assert np.allclose(lin.evaluate(ones), 1.0)
     assert np.array_equal(LOGISTIC.evaluate(np.zeros((1, 64))), np.zeros((1, 64)))
@@ -293,7 +292,7 @@ def test_blowup_flagged_with_partial_series():
 
 
 @pytest.mark.parametrize("value", [1e308, -1e13])
-@pytest.mark.parametrize("reaction", [LOGISTIC, ZeroReaction()])
+@pytest.mark.parametrize("reaction", [LOGISTIC, PolynomialReaction(((),))])
 def test_initial_data_past_the_blow_up_threshold_is_rejected_before_any_transform(
         transform_calls, value, reaction):
     # transforming 1e308 overflows; no numpy warning may escape before the step loop
@@ -480,7 +479,7 @@ SPLIT_GRIDS = {1: Grid(d=1, n=32, box=16.0), 2: Grid(d=2, n=16, box=16.0), 3: Gr
 def componentwise(kind, rng, ncomp):
     """A reaction whose F_k reads u_k alone."""
     if kind == "zero":
-        return ZeroReaction()
+        return PolynomialReaction(((),) * ncomp)
     if kind == "linear":
         return PolynomialReaction.from_matrix(np.diag(rng.uniform(-1.0, 1.0, ncomp)))
     one = lambda k, e: tuple(e * (l == k) for l in range(ncomp))  # noqa: E731
@@ -574,7 +573,7 @@ def test_coupled_and_lotka_volterra_configs_never_fork(split_and_serial):
 
 
 def test_no_split_below_the_break_even_or_on_one_cpu(monkeypatch):
-    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2), ZeroReaction())
+    spec = SystemSpec(1, 2, np.eye(2), zero_transport(1, 2))
     grid = Grid(d=1, n=64, box=16.0)
     steps = -(-stepper.SPLIT_MIN_MODE_STEPS // grid.size)
     monkeypatch.setattr(stepper, "_workers", lambda: 2)
